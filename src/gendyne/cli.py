@@ -52,7 +52,6 @@ from .trajectories import (
     TrajectoryConfig,
     default_burn_in,
     ensemble_statistics,
-    mean_spread_model,
     simulate_closed_loop,
     simulate_conditional,
 )
@@ -90,7 +89,6 @@ def _trajectory_config(config: dict, seed_override: Optional[int]) -> Trajectory
             n_traj=tr["n_traj"],
             seed=seed_override if seed_override is not None else tr["seed"],
             record_stride=tr.get("record_stride", 1),
-            record_currents=tr.get("record_currents", False),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -129,7 +127,6 @@ def _resolve_config(config: dict) -> dict:
     if "trajectories" in resolved:
         tr = resolved["trajectories"]
         tr.setdefault("record_stride", 1)
-        tr.setdefault("record_currents", False)
     if "sweep" in resolved and isinstance(resolved["sweep"]["grid"], dict):
         g = resolved["sweep"]["grid"]
         resolved["sweep"]["grid"] = np.linspace(g["start"], g["stop"], g["count"]).tolist()
@@ -279,12 +276,10 @@ def cmd_simulate(config: dict, out: Optional[str], seed_override: Optional[int])
 
     if spec.strategy == "none":
         record = simulate_conditional(dd, m, sigma_lyap, np.zeros(dd.a.shape[0]), cfg)
-        b = None
         predicted = sigma_lyap
     else:
         fb = feedback_gain(sigma_c, m)
         record = simulate_closed_loop(dd, m, fb, cfg, sigma_c0=sigma_lyap)
-        b = fb.b
         predicted = sigma_c
 
     burn_in = config.get("trajectories", {}).get("burn_in")
@@ -294,11 +289,11 @@ def cmd_simulate(config: dict, out: Optional[str], seed_override: Optional[int])
 
     deviation = np.abs(stats.sigma - predicted)
     # The sampled mean spread is compared against its exact discrete model,
-    # so the 3-sigma test sees Monte-Carlo error only; the remaining window
-    # truncation (deterministic CM/spread relaxation) is reported separately.
-    tau_times, tau_path = mean_spread_model(dd, m, b, sigma_lyap, cfg)
-    tau_mask = (tau_times >= burn_in) & (tau_times <= cfg.horizon)
-    tau_model = tau_path[tau_mask].mean(axis=0)
+    # which the record carries, so the 3-sigma test sees Monte-Carlo error
+    # only; the remaining window truncation (deterministic CM/spread
+    # relaxation) is reported separately.
+    tau_mask = (record.times >= burn_in) & (record.times <= cfg.horizon)
+    tau_model = record.tau_path[tau_mask].mean(axis=0)
     det_gap = np.abs(stats.sigma_c + tau_model - predicted)
     with_se = np.all(
         np.abs(stats.tau - tau_model) <= 3.0 * np.maximum(stats.se_sigma, 1e-12)

@@ -294,13 +294,20 @@ def run_scenario(spec: ScenarioSpec, *, numeric_thresholds: bool = False) -> Rep
     )
 
 
-def threshold_efficiency(spec: ScenarioSpec, xtol: float = 1e-4) -> float:
+# Unclamped log-negativity that is rounding noise: a vacuum mode next to a
+# thermal one, never entangled at any efficiency, reads about 6e-16.
+_SEPARABLE_ROUNDING = 1e-12
+
+
+def threshold_efficiency(spec: ScenarioSpec, xtol: float = 1e-4) -> Optional[float]:
     """Efficiency below which the optimal strategy entangles nothing.
 
     Closed form (1 + 2N)/(2(1 + N)) for the free two-mode system with equal
     baths; otherwise the zero of the unclamped log-negativity
-    -log2(nu_pt(eta)) located by bisection on [1/2, 1] (the threshold always
-    lies above 1/2).
+    -log2(nu_pt(eta)), located by bisection on [1/2, 1], or on [0, 1/2] when
+    the loop is already entangled at eta = 1/2 (low occupations). Returns
+    0.0 when even the unmonitored state (eta = 0) is entangled, and None when
+    not even perfect detection (eta = 1) entangles.
     """
     if spec.strategy != "optimal" or spec.n_modes != 2:
         raise ValueError("efficiency threshold applies to optimal entangling scenarios")
@@ -312,21 +319,26 @@ def threshold_efficiency(spec: ScenarioSpec, xtol: float = 1e-4) -> float:
     base = build_unravelling(replace(spec, eta=1.0), bath)
     bipartition = Bipartition.last_modes(2)
 
-    def unclamped(eta: float) -> float:
+    def entangled(eta: float) -> bool:
         m = measurement_matrices(couplings, apply_efficiency(base, eta), dd)
         sigma = solve_riccati(dd, m, probe_uniqueness=False).sigma
-        return -float(np.log2(pt_min_symplectic_eigenvalue(sigma, bipartition)))
+        unclamped = -float(np.log2(pt_min_symplectic_eigenvalue(sigma, bipartition)))
+        return unclamped > _SEPARABLE_ROUNDING
 
-    lo, hi = 0.5, 1.0
-    f_lo, f_hi = unclamped(lo), unclamped(hi)
-    if f_lo > 0 or f_hi < 0:
-        raise ValueError("no sign change for the efficiency threshold in [1/2, 1]")
+    if not entangled(0.5):
+        if not entangled(1.0):
+            return None
+        lo, hi = 0.5, 1.0
+    elif entangled(0.0):
+        return 0.0
+    else:
+        lo, hi = 0.0, 0.5
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
-        if unclamped(mid) < 0:
-            lo = mid
-        else:
+        if entangled(mid):
             hi = mid
+        else:
+            lo = mid
     return 0.5 * (lo + hi)
 
 

@@ -53,7 +53,6 @@ _TRAJECTORIES_SCHEMA = {
         "n_traj": {"type": "integer", "minimum": 1},
         "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
         "record_stride": {"type": "integer", "minimum": 1},
-        "record_currents": {"type": "boolean"},
         "burn_in": {"type": "number", "minimum": 0},
     },
 }

@@ -11,9 +11,24 @@ y dt = C <R> dt + dw, shifts the mean dynamics to
     d<R> = (A + B C) <R> dt + (sigma_c C^T + Gamma^T + B) dw,
 
 so the cancelling gain B = -(sigma_c C^T + Gamma^T) removes the noise at
-steady state. Integration is Euler-Maruyama for the means (the noise is
+steady state. The scheme is Euler-Maruyama for the means (the noise is
 additive given sigma_c) and classical 4th-order Runge-Kutta for the
 deterministic CM path.
+
+One deterministic moment kernel serves every entry point. It integrates
+the CM path once and, with the one-step map P = 1 + dt A_eff and the
+per-step gains G_k, reduces each record interval of s = record_stride steps
+to the affine map P^s plus one Gaussian of covariance
+
+    Q_j = sum_k P^(s-1-k) dt G_k G_k^T P^(s-1-k)^T,
+
+which is what s Euler-Maruyama steps add up to. Without currents, each
+trajectory therefore jumps from record to record, r_{j+1} = P^s r_j + L_j z_j
+with L_j L_j^T = Q_j, and has exactly the distribution of the per-step
+ensemble at the recorded times (the O(dt) bias of the scheme included) for
+one normal vector per record instead of one per step. Currents need every
+increment, so record_currents=True keeps the per-step loop. The same Q_j
+give the deterministic spread of the means, tau_{j+1} = P^s tau_j P^s^T + Q_j.
 
 Noise streams are counter-based: trajectory i draws from
 Philox(seed, stream=i), so ensembles are reproducible bit-for-bit and
@@ -34,9 +49,15 @@ from .linalg import symmetrize
 from .symplectic import as_matrix
 
 # Fixed so that results do not depend on memory layout: trajectories are
-# processed in chunks, noise is drawn per chunk in blocks of time steps.
+# processed in chunks, noise is drawn per chunk in blocks of time steps
+# (records, on the record-time path).
 _TRAJ_CHUNK = 1024
 _STEP_BLOCK = 2048
+
+# Eigenvalues of an interval covariance Q_j down to -_FACTOR_RTOL * ||Q_j||
+# are rounding noise and clipped to zero; Q_j itself may vanish (no
+# monitoring, or the cancelling gain at steady state).
+_FACTOR_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -71,16 +92,21 @@ class TrajectoryConfig:
 class TrajectoryRecord:
     """Sampled ensemble output.
 
-    times has S entries; means is (n_traj, S, 2n); sigma_c_path is
+    times has S entries, one every record_stride steps; means is
+    (n_traj, S, 2n), sampled exactly at those times. sigma_c_path is
     (S, 2n, 2n) and identical for every trajectory of the ensemble (the CM
-    flow carries no noise); currents, when recorded, holds every per-step
-    increment y*dt with shape (n_traj, n_steps, 2L).
+    flow carries no noise). tau_path, (S, 2n, 2n), is the model covariance
+    of the means under the discrete scheme, the spread the sampled means
+    estimate; it is None for records built by hand. currents, when
+    recorded, holds every per-step increment y*dt with shape
+    (n_traj, n_steps, 2L).
     """
 
     times: np.ndarray = field(repr=False)
     means: np.ndarray = field(repr=False)
     sigma_c_path: np.ndarray = field(repr=False)
     currents: Optional[np.ndarray] = field(repr=False, default=None)
+    tau_path: Optional[np.ndarray] = field(repr=False, default=None)
 
     @property
     def n_traj(self) -> int:
@@ -119,6 +145,141 @@ def _integrate_sigma_path(
     return path
 
 
+class _Moments(NamedTuple):
+    """Deterministic part of an ensemble run, on the step and record grids."""
+
+    sample_steps: np.ndarray  # step index of each record, (S,)
+    sigma_path: np.ndarray  # RK4 conditional CM, (n_steps + 1, 2n, 2n)
+    gains: np.ndarray  # noise gains sigma_c C^T + Gamma^T (+ B), (n_steps, 2n, 2L)
+    prop: np.ndarray  # one-step map P = 1 + dt A_eff
+    record_prop: np.ndarray  # P^s, one record interval
+    interval_cov: np.ndarray  # Q_j, noise added over record interval j, (S - 1, 2n, 2n)
+    tau_path: np.ndarray  # spread of the means from a fixed start, (S, 2n, 2n)
+
+
+def _moment_kernel(
+    dd: DriftDiffusion,
+    m: MeasurementSetup,
+    b: Optional[np.ndarray],
+    sigma_c0,
+    cfg: TrajectoryConfig,
+) -> _Moments:
+    """CM path, gains and per-interval moments of the Euler-Maruyama scheme."""
+    dim = dd.a.shape[0]
+    n_steps, dt, stride = cfg.n_steps, cfg.dt, cfg.record_stride
+    sigma_path = _integrate_sigma_path(dd, m, symmetrize(as_matrix(sigma_c0)), n_steps, dt)
+    # Noise gains per step (left-point rule): sigma_c C^T + Gamma^T (+ B).
+    gains = sigma_path[:-1] @ m.c.T + m.gamma.T
+    drift = dd.a if b is None else dd.a + b @ m.c
+    if b is not None:
+        gains = gains + b
+    prop = np.eye(dim) + dt * drift
+
+    sample_steps = np.arange(0, n_steps + 1, stride)
+    n_intervals = len(sample_steps) - 1
+    # q <- P q P^T + dt G_k G_k^T over the steps of each interval, all
+    # intervals at once; steps after the last record are never sampled.
+    interval_gains = gains[: n_intervals * stride].reshape(n_intervals, stride, *gains.shape[1:])
+    q = np.zeros((n_intervals, dim, dim))
+    for k in range(stride):
+        g = interval_gains[:, k]
+        q = prop @ q @ prop.T + dt * (g @ g.transpose(0, 2, 1))
+    q = (q + q.transpose(0, 2, 1)) / 2.0
+
+    record_prop = np.linalg.matrix_power(prop, stride)
+    tau_path = np.zeros((n_intervals + 1, dim, dim))
+    for j in range(n_intervals):
+        tau_path[j + 1] = symmetrize(record_prop @ tau_path[j] @ record_prop.T + q[j])
+    return _Moments(sample_steps, sigma_path, gains, prop, record_prop, q, tau_path)
+
+
+def _noise_factors(q: np.ndarray) -> np.ndarray:
+    """Factors L_j with L_j L_j^T = Q_j for a stack of symmetric PSD Q_j.
+
+    A symmetric eigendecomposition, not Cholesky: Q_j may be singular or
+    zero. Eigenvalues above -_FACTOR_RTOL * ||Q_j|| are clipped to zero.
+    """
+    vals, vecs = np.linalg.eigh(q)
+    scale = np.max(np.abs(vals), axis=-1, keepdims=True)
+    if np.any(vals < -_FACTOR_RTOL * scale):
+        worst = float(np.min(vals / np.where(scale > 0, scale, 1.0)))
+        raise FloatingPointError(
+            f"record-interval noise covariance is not positive semidefinite "
+            f"(relative eigenvalue {worst:.3e})"
+        )
+    return vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]
+
+
+def _check_finite(r: np.ndarray, start: int) -> None:
+    if not np.all(np.isfinite(r)):
+        raise FloatingPointError(f"trajectory means diverged (chunk starting at {start})")
+
+
+def _sample_records(mom: _Moments, r0: np.ndarray, cfg: TrajectoryConfig) -> np.ndarray:
+    """Means at the record times, one exact Gaussian step per record interval."""
+    n_records, dim = len(mom.sample_steps), r0.shape[0]
+    n_intervals = n_records - 1
+    # Row-vector form: r_{j+1}^T = r_j^T (P^s)^T + z_j^T L_j^T.
+    prop_t = np.ascontiguousarray(mom.record_prop.T)
+    factors_t = np.ascontiguousarray(_noise_factors(mom.interval_cov).transpose(0, 2, 1))
+    means = np.empty((cfg.n_traj, n_records, dim))
+    for start in range(0, cfg.n_traj, _TRAJ_CHUNK):
+        stop = min(start + _TRAJ_CHUNK, cfg.n_traj)
+        gens = [_trajectory_generator(cfg.seed, i) for i in range(start, stop)]
+        r = np.tile(r0, (stop - start, 1))
+        means[start:stop, 0] = r
+        noise = np.empty((stop - start, min(_STEP_BLOCK, n_intervals), dim))
+        for block_start in range(0, n_intervals, _STEP_BLOCK):
+            block = min(_STEP_BLOCK, n_intervals - block_start)
+            z = noise[:, :block]
+            for g, out in zip(gens, z):
+                g.standard_normal(out=out)
+            kicks = z.transpose(1, 0, 2) @ factors_t[block_start : block_start + block]
+            for j in range(block):
+                r = r @ prop_t + kicks[j]
+                means[start:stop, block_start + j + 1] = r
+        _check_finite(r, start)
+    return means
+
+
+def _sample_steps(
+    mom: _Moments, m: MeasurementSetup, r0: np.ndarray, cfg: TrajectoryConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step Euler-Maruyama loop: means at the records and every current increment."""
+    n_steps, dt, dim = cfg.n_steps, cfg.dt, r0.shape[0]
+    n_out = m.c.shape[0]
+    if cfg.n_traj * n_steps * n_out > 2 * 10**8:
+        raise ValueError("current record would be too large; disable record_currents")
+    sqrt_dt = np.sqrt(dt)
+    means = np.empty((cfg.n_traj, len(mom.sample_steps), dim))
+    currents = np.empty((cfg.n_traj, n_steps, n_out))
+    step_map = np.full(n_steps + 1, -1)
+    step_map[mom.sample_steps] = np.arange(len(mom.sample_steps))
+    prop_t = np.ascontiguousarray(mom.prop.T)
+    for start in range(0, cfg.n_traj, _TRAJ_CHUNK):
+        stop = min(start + _TRAJ_CHUNK, cfg.n_traj)
+        gens = [_trajectory_generator(cfg.seed, i) for i in range(start, stop)]
+        r = np.tile(r0, (stop - start, 1))
+        means[start:stop, 0] = r
+        noise = np.empty((stop - start, min(_STEP_BLOCK, n_steps), n_out))
+        for block_start in range(0, n_steps, _STEP_BLOCK):
+            block = min(_STEP_BLOCK, n_steps - block_start)
+            dws = noise[:, :block]
+            for g, out in zip(gens, dws):
+                g.standard_normal(out=out)
+            dws *= sqrt_dt
+            for j in range(block):
+                k = block_start + j
+                dw = dws[:, j, :]
+                currents[start:stop, k] = r @ m.c.T * dt + dw
+                r = r @ prop_t + dw @ mom.gains[k].T
+                idx = step_map[k + 1]
+                if idx >= 0:
+                    means[start:stop, idx] = r
+        _check_finite(r, start)
+    return means, currents
+
+
 def _simulate(
     dd: DriftDiffusion,
     m: MeasurementSetup,
@@ -127,61 +288,19 @@ def _simulate(
     r0,
     cfg: TrajectoryConfig,
 ) -> TrajectoryRecord:
-    dim = dd.a.shape[0]
-    n_out = m.c.shape[0]
-    n_steps = cfg.n_steps
-    dt = cfg.dt
-    sqrt_dt = np.sqrt(dt)
-
-    sigma0 = symmetrize(as_matrix(sigma_c0))
-    r0 = np.asarray(r0, dtype=float).reshape(dim)
-
-    sigma_path = _integrate_sigma_path(dd, m, sigma0, n_steps, dt)
-    # Noise gains per step (left-point rule): sigma_c C^T + Gamma^T (+ B).
-    gains = sigma_path[:-1] @ m.c.T + m.gamma.T
-    drift = dd.a if b is None else dd.a + b @ m.c
-    if b is not None:
-        gains = gains + b
-
-    sample_steps = np.arange(0, n_steps + 1, cfg.record_stride)
-    times = sample_steps * dt
-    means = np.empty((cfg.n_traj, len(sample_steps), dim))
-    currents = None
+    r0 = np.asarray(r0, dtype=float).reshape(dd.a.shape[0])
+    mom = _moment_kernel(dd, m, b, sigma_c0, cfg)
     if cfg.record_currents:
-        if cfg.n_traj * n_steps * n_out > 2 * 10**8:
-            raise ValueError(
-                "current record would be too large; disable record_currents"
-            )
-        currents = np.empty((cfg.n_traj, n_steps, n_out))
-
-    step_map = np.full(n_steps + 1, -1)
-    step_map[sample_steps] = np.arange(len(sample_steps))
-    prop = np.eye(dim) + dt * drift.T  # Euler-Maruyama one-step propagator
-
-    for start in range(0, cfg.n_traj, _TRAJ_CHUNK):
-        stop = min(start + _TRAJ_CHUNK, cfg.n_traj)
-        gens = [_trajectory_generator(cfg.seed, i) for i in range(start, stop)]
-        r = np.tile(r0, (stop - start, 1))
-        if step_map[0] >= 0:
-            means[start:stop, 0] = r
-        for block_start in range(0, n_steps, _STEP_BLOCK):
-            block = min(_STEP_BLOCK, n_steps - block_start)
-            noise = np.stack([g.standard_normal((block, n_out)) for g in gens]) * sqrt_dt
-            for j in range(block):
-                k = block_start + j
-                dw = noise[:, j, :]
-                if currents is not None:
-                    currents[start:stop, k] = r @ m.c.T * dt + dw
-                r = r @ prop + dw @ gains[k].T
-                idx = step_map[k + 1]
-                if idx >= 0:
-                    means[start:stop, idx] = r
-        if not np.all(np.isfinite(r)):
-            raise FloatingPointError(
-                f"trajectory means diverged (chunk starting at {start})"
-            )
-
-    return TrajectoryRecord(times, means, sigma_path[sample_steps], currents)
+        means, currents = _sample_steps(mom, m, r0, cfg)
+    else:
+        means, currents = _sample_records(mom, r0, cfg), None
+    return TrajectoryRecord(
+        mom.sample_steps * cfg.dt,
+        means,
+        mom.sigma_path[mom.sample_steps],
+        currents,
+        mom.tau_path,
+    )
 
 
 def simulate_conditional(
@@ -218,33 +337,16 @@ def mean_spread_model(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic second moments of the conditional means, tau(t).
 
-    Runs the exact discrete recursion of the Euler-Maruyama ensemble,
-    tau_{k+1} = P tau_k P^T + dt G_k G_k^T with P = 1 + dt A_eff, so sampled
-    spreads differ from it by Monte-Carlo error only. Returns (times, tau
-    path) on the record grid, for an ensemble started at a fixed mean.
+    The moment kernel of the simulations without their noise: the exact
+    covariance of the Euler-Maruyama means, tau_{k+1} = P tau_k P^T +
+    dt G_k G_k^T with P = 1 + dt A_eff, taken one record interval at a time,
+    tau_{j+1} = P^s tau_j P^s^T + Q_j. Sampled spreads differ from it by
+    Monte-Carlo error only. Returns (times, tau path) on the record grid,
+    for an ensemble started at a fixed mean; a simulation carries the same
+    path as TrajectoryRecord.tau_path.
     """
-    dim = dd.a.shape[0]
-    n_steps = cfg.n_steps
-    sigma0 = symmetrize(as_matrix(sigma_c0))
-    sigma_path = _integrate_sigma_path(dd, m, sigma0, n_steps, cfg.dt)
-    gains = sigma_path[:-1] @ m.c.T + m.gamma.T
-    drift = dd.a if b is None else dd.a + b @ m.c
-    if b is not None:
-        gains = gains + b
-    prop = np.eye(dim) + cfg.dt * drift
-    tau = np.zeros((dim, dim))
-    sample_steps = np.arange(0, n_steps + 1, cfg.record_stride)
-    step_map = np.full(n_steps + 1, -1)
-    step_map[sample_steps] = np.arange(len(sample_steps))
-    path = np.empty((len(sample_steps), dim, dim))
-    if step_map[0] >= 0:
-        path[0] = tau
-    for k in range(n_steps):
-        tau = prop @ tau @ prop.T + cfg.dt * gains[k] @ gains[k].T
-        idx = step_map[k + 1]
-        if idx >= 0:
-            path[idx] = symmetrize(tau)
-    return sample_steps * cfg.dt, path
+    mom = _moment_kernel(dd, m, b, sigma_c0, cfg)
+    return mom.sample_steps * cfg.dt, mom.tau_path
 
 
 class EnsembleStats(NamedTuple):

@@ -218,6 +218,33 @@ def test_simulate_bad_dt_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_rejects_record_currents(tmp_path, capsys):
+    # simulate emits no currents, so the key is unknown to the config schema
+    obj = simulate_config()
+    obj["trajectories"]["record_currents"] = True
+    cfg = write_config(tmp_path, obj)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 2
+    assert "record_currents" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "scenario, expected",
+    [
+        ({"kind": "parametric", "n_th": 0.0, "chi": 0.3}, lambda eta: eta == 0.0),
+        ({"kind": "parametric", "n_th": 0.2, "chi": 0.1}, lambda eta: 0.25 < eta < 0.5),
+        ({"kind": "free_unequal_baths", "n_th": [0, 1]}, lambda eta: eta is None),
+    ],
+)
+def test_threshold_outside_upper_half(tmp_path, scenario, expected):
+    # entangled at eta = 1/2 already (the first two), or never (a vacuum
+    # mode beside a thermal one)
+    cfg = write_config(tmp_path, {"scenario": scenario})
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "bounds.json")]) == 0
+    out = tmp_path / "steady.json"
+    assert main(["steady", "--config", cfg, "--out", str(out)]) == 0
+    assert expected(json.loads(out.read_text())["thresholds"]["eta"])
+
+
 def test_console_entry_point(tmp_path):
     cfg = write_config(tmp_path, {"scenario": {"kind": "free_single", "n_th": 1.0}})
     proc = subprocess.run(

@@ -1,5 +1,7 @@
 """Stochastic ensemble simulation against the deterministic solvers."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from gendyne import (
     ensemble_statistics,
     feedback_gain,
     lyapunov_steady_state,
+    mean_spread_model,
     measurement_matrices,
     named_unravelling,
     riccati_steady_state,
@@ -18,6 +21,8 @@ from gendyne import (
     simulate_conditional,
     thermal_drift_diffusion,
 )
+from gendyne.cli import main
+from gendyne.trajectories import _moment_kernel, _noise_factors
 
 
 def free_system(*occ):
@@ -208,3 +213,68 @@ def test_ensemble_statistics_edges():
 def test_default_burn_in():
     dd, _ = free_system(1.0)
     assert default_burn_in(dd) == pytest.approx(10.0)
+
+
+def test_spread_model_matches_per_step_recursion():
+    # closed loop from off the steady state, 305 steps on a stride of 20:
+    # the record-interval kernel against tau_{k+1} = P tau_k P^T + dt G_k G_k^T
+    dd, m = optimal_setup(1.0)
+    fb = feedback_gain(riccati_steady_state(dd, m).matrix, m)
+    sigma0 = 3.0 * np.eye(2)
+    cfg = TrajectoryConfig(dt=1e-2, horizon=3.05, n_traj=1, seed=1, record_stride=20)
+    assert cfg.n_steps % cfg.record_stride != 0
+    times, tau_path = mean_spread_model(dd, m, fb.b, sigma0, cfg)
+
+    fine = TrajectoryConfig(dt=cfg.dt, horizon=cfg.horizon, n_traj=1, seed=1)
+    sigma_path = simulate_closed_loop(dd, m, fb, fine, sigma_c0=sigma0).sigma_c_path
+    prop = np.eye(2) + cfg.dt * (dd.a + fb.b @ m.c)
+    tau = np.zeros((2, 2))
+    expected = [tau]
+    for k in range(cfg.n_steps):
+        g = sigma_path[k] @ m.c.T + m.gamma.T + fb.b
+        tau = prop @ tau @ prop.T + cfg.dt * g @ g.T
+        if (k + 1) % cfg.record_stride == 0:
+            expected.append(tau)
+    expected = np.array(expected)
+
+    assert np.allclose(times, cfg.dt * cfg.record_stride * np.arange(len(expected)))
+    assert np.max(np.abs(tau_path - expected)) <= 1e-12 * np.max(np.abs(expected))
+    # a simulation carries the same deterministic path
+    rec = simulate_closed_loop(dd, m, fb, cfg, sigma_c0=sigma0)
+    assert np.array_equal(rec.tau_path, tau_path)
+
+
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("kind", ["optimal_squeeze", "optimal_entangle"])
+def test_interval_noise_factors_rebuild_covariances(kind, closed):
+    # At N = 1e3 the interval covariances are singular (rank-one for the
+    # squeezer, rounding-negative eigenvalues for the entangler), and under
+    # the cancelling gain they decay over four decades. The CM starts near
+    # its conditional steady state: the collapse from the thermal state runs
+    # at a rate of order N^2, which no practical dt resolves.
+    bath = ThermalBath((1e3,) * (1 if kind == "optimal_squeeze" else 2))
+    dd, couplings = thermal_drift_diffusion(None, bath)
+    m = measurement_matrices(couplings, named_unravelling(kind, bath))
+    sigma_c = riccati_steady_state(dd, m).matrix
+    b = feedback_gain(sigma_c, m).b if closed else None
+    cfg = TrajectoryConfig(dt=1e-3, horizon=5.0, n_traj=1, seed=1, record_stride=50)
+    q = _moment_kernel(dd, m, b, 1.5 * sigma_c, cfg).interval_cov
+    factors = _noise_factors(q)
+    rebuilt = factors @ factors.transpose(0, 2, 1)
+    error = np.max(np.abs(rebuilt - q), axis=(1, 2))
+    assert np.all(error <= 1e-10 * np.max(np.abs(q), axis=(1, 2)))
+
+
+@pytest.mark.slow
+def test_readme_example_simulate_within_three_se(tmp_path):
+    # the config of the README's command-line section
+    config = {
+        "scenario": {"kind": "parametric", "n_th": 1.0, "chi": 0.3, "strategy": "optimal", "eta": 1.0},
+        "trajectories": {"dt": 0.001, "horizon": 20.0, "n_traj": 10000, "seed": 1234, "record_stride": 100},
+        "sweep": {"parameter": "eta", "grid": {"start": 0.5, "stop": 1.0, "count": 11}},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "summary.json"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["within_three_se"] is True
