@@ -44,6 +44,7 @@ from .schemas import (
     SIMULATE_REPORT_SCHEMA,
     STEADY_REPORT_SCHEMA,
     SWEEP_COLUMNS,
+    SWEEP_REPORT_SCHEMA,
     TIGHTNESS_REPORT_SCHEMA,
     load_config,
     validate_report,
@@ -261,6 +262,7 @@ def cmd_sweep(config: dict, out: Optional[str], fmt: str) -> None:
         _emit(write_sweep_csv(rows), out)
     else:
         obj = _with_provenance(config, {"rows": [r.to_dict() for r in reports]})
+        validate_report(obj, SWEEP_REPORT_SCHEMA)
         _emit(_json_text(obj), out)
 
 

@@ -58,6 +58,7 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy.linalg import solve_continuous_are
 
 from .dynamics import (
     CouplingOperators,
@@ -68,11 +69,11 @@ from .dynamics import (
 )
 from .errors import ConvergenceError, NotStabilisingError, PhysicalityError, UnstableSystemError
 from .linalg import (
+    lyapunov_solve,
     max_abs,
     min_eigenvalue,
     psd_sqrt,
     psd_tolerance,
-    solve_bilinear,
     symmetrize,
 )
 from .symplectic import CovarianceMatrix, as_matrix, physicality_check, symplectic_form
@@ -264,6 +265,8 @@ def stabilising_check(sigma, dd: DriftDiffusion) -> StabilisingResult:
 
 @dataclass(frozen=True)
 class RiccatiSolution:
+    """Output of solve_riccati; residual is ||rhs||_max at sigma."""
+
     sigma: np.ndarray
     residual: float
     flow_steps: int
@@ -271,75 +274,34 @@ class RiccatiSolution:
     unique: Optional[bool]
 
 
-def _newton_iterations(
-    sigma: np.ndarray,
-    a_tilde: np.ndarray,
-    ctc: np.ndarray,
-    rhs_fn,
-    atol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, float, int, bool]:
-    """Damped Newton iterations on the algebraic Riccati equation.
-
-    Each step solves the vectorized linearization F dX + dX F^T = -R(sigma)
-    with F = A_tilde - sigma C^T C. Returns (sigma, residual, steps, converged).
-    """
-    res = rhs_fn(sigma)
-    res_norm = max_abs(res)
-    steps = 0
-    for _ in range(max_iter):
-        if res_norm <= atol:
-            return sigma, res_norm, steps, True
-        f = a_tilde - sigma @ ctc
-        try:
-            delta = solve_bilinear(f, -res)
-        except np.linalg.LinAlgError:
-            break
-        scale = 1.0
-        improved = False
-        for _ in range(5):
-            trial = symmetrize(sigma + scale * delta)
-            trial_res = rhs_fn(trial)
-            trial_norm = max_abs(trial_res)
-            if np.isfinite(trial_norm) and trial_norm < res_norm:
-                sigma, res, res_norm = trial, trial_res, trial_norm
-                improved = True
-                break
-            scale /= 2.0
-        steps += 1
-        if not improved:
-            break
-    return sigma, res_norm, steps, res_norm <= atol
-
-
 def solve_riccati(
     dd: DriftDiffusion,
     m: MeasurementSetup,
-    sigma0=None,
     *,
-    method: str = "hybrid",
-    max_flow_steps: int = 4000,
-    newton_iters: int = 10,
     probe_uniqueness: bool = True,
 ) -> RiccatiSolution:
     """Steady state of the conditional covariance flow.
 
-    Default strategy: adaptive semi-implicit integration of the flow from
-    sigma0 (the unmonitored Lyapunov steady state unless given), with step
-    halving whenever the residual grows, until ||rhs||_max stays below
-    1e-10 * ||D||_max for three consecutive accepted steps; then at most
-    `newton_iters` Newton corrections on the algebraic equation.
+    The steady state is the stabilising solution of the continuous algebraic
+    Riccati equation (CARE)
 
-    method="integrate" runs the flow phase only (step capped at 1.0);
-    method="newton" runs Newton only. Both serve as mutual cross-checks.
+        A~ sigma + sigma A~^T + (D - Gamma^T Gamma) - sigma C^T C sigma = 0,
 
-    The returned solution is verified to be physical and stabilising. When
-    `probe_uniqueness` is set, Newton is restarted from sigma0 + 0.1*identity
-    and `unique=False` is reported if it lands elsewhere (difference above
-    1e-6 elementwise).
+    A~ = A - Gamma^T C, found by Laub's Schur method (scipy's
+    `solve_continuous_are` with A -> A~^T, B -> C^T, Q = D - Gamma^T Gamma,
+    R = 1). When its residual exceeds 1e-12 * ||D||_max, one Newton step
+    F dX + dX F^T = -R(sigma) with F = A~ - sigma C^T C (Bartels-Stewart) is
+    tried and kept only if it lowers the residual; `newton_steps` counts it.
+    `flow_steps` is always 0 (the field remains for callers that read it).
+
+    The result must have ||rhs||_max <= 1e-10 * ||D||_max and be physical
+    and stabilising, or an error is raised; a scipy failure is reported as
+    ConvergenceError. With `probe_uniqueness`, `unique` reports whether F
+    is Hurwitz at the solution: the CARE has at most one stabilising
+    solution, so True certifies that sigma is it. Without the probe `unique`
+    is None. Unmonitored systems return the Lyapunov steady state with
+    `unique=True`.
     """
-    if method not in ("hybrid", "integrate", "newton"):
-        raise ValueError(f"unknown method {method!r}")
     if not stability_check(dd).stable:
         raise UnstableSystemError("drift matrix admits no steady state")
 
@@ -349,72 +311,32 @@ def solve_riccati(
         res = max_abs(riccati_rhs(sigma, dd, m))
         return RiccatiSolution(sigma, res, 0, 0, True)
 
-    if sigma0 is None:
-        sigma0 = lyapunov_steady_state(dd).matrix
-    sigma0 = symmetrize(as_matrix(sigma0))
-
     atol = 1e-10 * max_abs(dd.d)
     a_tilde = dd.a - m.gamma.T @ m.c
     ctc = m.c.T @ m.c
-
-    def rhs_fn(s):
-        return riccati_rhs(s, dd, m)
-
-    sigma = sigma0.copy()
-    res = rhs_fn(sigma)
-    res_norm = max_abs(res)
-    flow_steps = 0
-    newton_steps = 0
-
-    if method in ("hybrid", "integrate"):
-        h = 0.1
-        h_max = 1.0 if method == "integrate" else 1e6
-        consecutive = 3 if res_norm <= atol else 0
-        eye = np.eye(sigma.shape[0])
-        while consecutive < 3:
-            if flow_steps >= max_flow_steps:
-                raise ConvergenceError(
-                    f"conditional flow did not converge in {max_flow_steps} steps "
-                    f"(residual {res_norm:.3e})"
-                )
-            f = a_tilde - sigma @ ctc
-            try:
-                delta = solve_bilinear(eye / (2.0 * h) - f, res)
-            except np.linalg.LinAlgError:
-                h /= 2.0
-                continue
-            trial = symmetrize(sigma + delta)
-            trial_res = rhs_fn(trial)
-            trial_norm = max_abs(trial_res)
-            accept = (
-                np.isfinite(trial_norm)
-                and trial_norm <= res_norm
-                and min_eigenvalue(trial) > 0.0
+    try:
+        sigma = symmetrize(
+            solve_continuous_are(
+                a_tilde.T, m.c.T, dd.d - m.gamma.T @ m.gamma, np.eye(m.c.shape[0])
             )
-            flow_steps += 1
-            if accept:
-                sigma, res, res_norm = trial, trial_res, trial_norm
-                h = min(h * 1.6, h_max)
-                consecutive = consecutive + 1 if res_norm <= atol else 0
-            else:
-                h /= 2.0
-                if h < 1e-10:
-                    raise ConvergenceError(
-                        f"conditional flow step size underflow (residual {res_norm:.3e})"
-                    )
-
-    if method in ("hybrid", "newton"):
-        iters = newton_iters if method == "hybrid" else 100
-        sigma, res_norm, newton_steps, converged = _newton_iterations(
-            sigma, a_tilde, ctc, rhs_fn, 0.01 * atol, iters
         )
-        if not converged and res_norm > atol:
-            raise ConvergenceError(
-                f"Newton refinement stalled at residual {res_norm:.3e} "
-                f"(tolerance {atol:.3e})"
-            )
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise ConvergenceError(f"Schur CARE solve failed: {exc}") from exc
+    res = riccati_rhs(sigma, dd, m)
+    res_norm = max_abs(res)
 
-    if res_norm > atol:
+    newton_steps = 0
+    if not res_norm <= 0.01 * atol:
+        newton_steps = 1
+        try:
+            trial = sigma + lyapunov_solve(a_tilde - sigma @ ctc, res)
+            trial_norm = max_abs(riccati_rhs(trial, dd, m))
+        except (np.linalg.LinAlgError, ValueError):
+            trial_norm = np.inf
+        if trial_norm < res_norm:
+            sigma, res_norm = trial, trial_norm
+
+    if not res_norm <= atol:
         raise ConvergenceError(
             f"conditional steady state residual {res_norm:.3e} exceeds {atol:.3e}"
         )
@@ -433,20 +355,13 @@ def solve_riccati(
 
     unique: Optional[bool] = None
     if probe_uniqueness:
-        probe0 = sigma0 + 0.1 * np.eye(sigma.shape[0])
-        probe, probe_res, _, probe_conv = _newton_iterations(
-            probe0, a_tilde, ctc, rhs_fn, atol, 50
-        )
-        unique = not (probe_conv and max_abs(probe - sigma) > 1e-6)
-
-    return RiccatiSolution(sigma, float(res_norm), flow_steps, newton_steps, unique)
+        unique = bool(np.max(np.linalg.eigvals(a_tilde - sigma @ ctc).real) < 0.0)
+    return RiccatiSolution(sigma, float(res_norm), 0, newton_steps, unique)
 
 
-def riccati_steady_state(
-    dd: DriftDiffusion, m: MeasurementSetup, sigma0=None, **kwargs
-) -> CovarianceMatrix:
+def riccati_steady_state(dd: DriftDiffusion, m: MeasurementSetup, **kwargs) -> CovarianceMatrix:
     """Conditional steady-state CM (see solve_riccati for the contract)."""
-    return CovarianceMatrix(solve_riccati(dd, m, sigma0, **kwargs).sigma)
+    return CovarianceMatrix(solve_riccati(dd, m, **kwargs).sigma)
 
 
 def optimal_squeezing_unravelling(bath: ThermalBath, phi: float = 0.0) -> UnravellingMatrix:

@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import UnstableSystemError
-from .linalg import check_symmetric, lyapunov_solve, max_abs, min_eigenvalue, symmetrize
+from .linalg import check_symmetric, lyapunov_solve, max_abs, symmetrize
 from .symplectic import CovarianceMatrix, as_matrix, symplectic_form
 
 
@@ -181,7 +181,7 @@ def stability_check(dd: DriftDiffusion) -> StabilityResult:
 def lyapunov_steady_state(dd: DriftDiffusion) -> CovarianceMatrix:
     """Unique steady-state CM solving A sigma + sigma A^T + D = 0.
 
-    Solved directly in vectorized (Kronecker) form; the residual satisfies
+    Solved by Bartels-Stewart (scipy); the residual satisfies
     ||A sigma + sigma A^T + D||_max <= 1e-10 * ||D||_max.
     """
     if not stability_check(dd).stable:
@@ -216,15 +216,3 @@ def evolve_covariance(
         sigma = symmetrize(sigma + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
     return sigma
 
-
-def hamiltonian_check(h: np.ndarray) -> np.ndarray:
-    """Validate a Hamiltonian matrix (symmetric within 1e-10 relative)."""
-    return check_symmetric(np.asarray(h, dtype=float), "Hamiltonian matrix")
-
-
-def is_positive_semidefinite(m: np.ndarray, tol: Optional[float] = None) -> bool:
-    from .linalg import psd_tolerance
-
-    if tol is None:
-        tol = psd_tolerance(m)
-    return min_eigenvalue(symmetrize(m)) >= -tol

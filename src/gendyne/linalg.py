@@ -1,12 +1,17 @@
 """Small dense linear-algebra helpers used throughout the package.
 
-Everything here operates on plain numpy arrays; the matrices are tiny
-(2n <= 20), so direct dense methods are always the right tool.
+Everything here operates on plain numpy arrays; the matrices are small
+(2n <= 40), so direct dense methods are always the right tool. Linear
+matrix equations go through scipy's Schur-based solvers: Bartels-Stewart
+for the Lyapunov equation here, Laub's Schur method for the conditional
+Riccati equation in `conditioning.solve_riccati`. Both cost O(d^3) in the
+matrix size d.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import solve_continuous_lyapunov
 
 from .errors import PhysicalityError
 
@@ -65,20 +70,9 @@ def psd_sqrt(m: np.ndarray, clip: float = 1e-12) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
-def solve_bilinear(f: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve F X + X F^T = RHS by a direct solve of the vectorized system.
-
-    Uses the Kronecker identity vec(F X + X F^T) = (F (x) 1 + 1 (x) F) vec(X)
-    with row-major vec. Well-posed when no two eigenvalues of F sum to zero.
-    """
-    f = np.asarray(f, dtype=float)
-    d = f.shape[0]
-    eye = np.eye(d)
-    op = np.kron(f, eye) + np.kron(eye, f)
-    x = np.linalg.solve(op, np.asarray(rhs, dtype=float).ravel())
-    return x.reshape(d, d)
-
-
 def lyapunov_solve(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Solve A X + X A^T + D = 0 for symmetric X (A Hurwitz-like)."""
-    return symmetrize(solve_bilinear(a, -np.asarray(d, dtype=float)))
+    """Solve A X + X A^T + D = 0 for symmetric X (Bartels-Stewart, via scipy).
+
+    Well-posed when no two eigenvalues of A sum to zero, e.g. A Hurwitz.
+    """
+    return symmetrize(solve_continuous_lyapunov(a, -np.asarray(d, dtype=float)))

@@ -41,7 +41,7 @@ from .dynamics import (
     stability_check,
     thermal_drift_diffusion,
 )
-from .errors import UnstableSystemError
+from .errors import ConvergenceError, UnstableSystemError
 from .feedback import closed_loop, feedback_gain
 from .linalg import max_abs
 from .symplectic import (
@@ -71,6 +71,7 @@ class ScenarioSpec:
 
     n_th is a single occupation except for free_unequal_baths, which takes
     the pair (N1, N2). chi is required (and < 1/2) for the parametric kind.
+    Every number must be finite.
     """
 
     kind: str
@@ -85,6 +86,11 @@ class ScenarioSpec:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        values = [self.eta, self.phi, *np.atleast_1d(self.n_th)]
+        if self.chi is not None:
+            values.append(self.chi)
+        if not np.all(np.isfinite(np.asarray(values, dtype=float))):
+            raise ValueError("n_th, chi, eta and phi must be finite")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("efficiency must lie in [0, 1]")
         if self.kind == "free_unequal_baths":
@@ -240,7 +246,20 @@ def run_scenario(spec: ScenarioSpec, *, numeric_thresholds: bool = False) -> Rep
     sol = solve_riccati(dd, m)
     sigma_c = sol.sigma
 
+    # A report never shows a value that beats its own bound: past these
+    # margins the steady state is wrong, not better than possible.
     eigs = np.linalg.eigvalsh(sigma_c)
+    sq_bound = squeezing_bound(dd)
+    if eigs[0] < sq_bound * (1.0 - 1e-8):
+        raise ConvergenceError(
+            f"achieved minimum eigenvalue {eigs[0]:.9e} beats the squeezing bound {sq_bound:.9e}"
+        )
+    ent_bound = entanglement_bound(dd) if two_mode else None
+    log_neg = log_negativity(sigma_c, bipartition) if two_mode else None
+    if two_mode and log_neg > ent_bound + 1e-8:
+        raise ConvergenceError(
+            f"achieved log-negativity {log_neg:.9f} beats the entanglement bound {ent_bound:.9f}"
+        )
     nus = symplectic_eigenvalues(sigma_c)
     phys = physicality_check(sigma_c)
     stab = stabilising_check(sigma_c, dd)
@@ -265,15 +284,13 @@ def run_scenario(spec: ScenarioSpec, *, numeric_thresholds: bool = False) -> Rep
         stable=True,
         alphas=stability.alphas,
         deltas=spectral.deltas,
-        squeezing_bound=squeezing_bound(dd),
+        squeezing_bound=sq_bound,
         eig_product_bound=eig_product_bound(dd),
-        entanglement_bound=entanglement_bound(dd) if two_mode else None,
+        entanglement_bound=ent_bound,
         pt_nu_lower_bound=pt_nu_lower_bound(dd) if two_mode else None,
         sigma_c=sigma_c,
         achieved_min_eigenvalue=float(eigs[0]),
-        achieved_log_negativity=(
-            log_negativity(sigma_c, bipartition) if two_mode else None
-        ),
+        achieved_log_negativity=log_neg,
         achieved_pt_nu=(
             pt_min_symplectic_eigenvalue(sigma_c, bipartition) if two_mode else None
         ),

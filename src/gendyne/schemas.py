@@ -138,12 +138,11 @@ BOUNDS_REPORT_SCHEMA = {
     },
 }
 
-STEADY_REPORT_SCHEMA = {
+# A steady report without its provenance; also one row of a JSON sweep.
+_STEADY_BODY = {
     "type": "object",
     "additionalProperties": False,
     "required": [
-        "library_version",
-        "config",
         "scenario",
         "stable",
         "spectral",
@@ -157,7 +156,6 @@ STEADY_REPORT_SCHEMA = {
         "thresholds",
     ],
     "properties": {
-        **_PROVENANCE,
         "scenario": {"type": "object"},
         "stable": {"type": "boolean"},
         "spectral": {"type": "object"},
@@ -188,6 +186,22 @@ STEADY_REPORT_SCHEMA = {
         "residuals": {"type": "object"},
         "unique_solution": {"type": ["boolean", "null"]},
         "thresholds": {"type": "object"},
+    },
+}
+
+STEADY_REPORT_SCHEMA = {
+    **_STEADY_BODY,
+    "required": ["library_version", "config", *_STEADY_BODY["required"]],
+    "properties": {**_PROVENANCE, **_STEADY_BODY["properties"]},
+}
+
+SWEEP_REPORT_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["library_version", "config", "rows"],
+    "properties": {
+        **_PROVENANCE,
+        "rows": {"type": "array", "minItems": 1, "items": _STEADY_BODY},
     },
 }
 

@@ -4,15 +4,18 @@ import json
 import subprocess
 import sys
 
+import jsonschema
 import numpy as np
 import pytest
 
+from gendyne import cli
 from gendyne.cli import main, read_sweep_csv
 from gendyne.schemas import (
     BOUNDS_REPORT_SCHEMA,
     SIMULATE_REPORT_SCHEMA,
     STEADY_REPORT_SCHEMA,
     SWEEP_COLUMNS,
+    SWEEP_REPORT_SCHEMA,
     TIGHTNESS_REPORT_SCHEMA,
     validate_report,
 )
@@ -73,6 +76,35 @@ def test_config_errors_exit_2(tmp_path, capsys):
     bad_json.write_text("{not json")
     assert main(["bounds", "--config", str(bad_json)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        {"kind": "free_single", "n_th": float("nan")},
+        {"kind": "free_single", "n_th": float("inf")},
+        {"kind": "free_unequal_baths", "n_th": [1.0, float("nan")]},
+        {"kind": "parametric", "n_th": 1.0, "chi": float("nan")},
+        {"kind": "free_single", "n_th": 1.0, "eta": float("nan")},
+        {"kind": "free_single", "n_th": 1.0, "phi": float("inf")},
+    ],
+)
+def test_non_finite_values_exit_2(tmp_path, capsys, scenario):
+    # JSON's NaN/Infinity extensions pass the schema's number type
+    cfg = write_config(tmp_path, {"scenario": scenario})
+    assert main(["steady", "--config", cfg, "--out", str(tmp_path / "s.json")]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_report_beating_its_bound_exits_3(tmp_path, capsys):
+    # at N = 1e4 the steady state is not resolved to the accuracy its bound needs
+    cfg = write_config(tmp_path, {"scenario": {"kind": "free_two_mode", "n_th": 10000}})
+    out = tmp_path / "steady.json"
+    assert main(["steady", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "beats" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_steady_reports(tmp_path):
@@ -179,6 +211,30 @@ def test_sweep_json_format(tmp_path):
     assert payload["rows"][1]["achieved"]["log_negativity"] == pytest.approx(
         np.log2(3.0), abs=1e-8
     )
+
+
+def test_sweep_json_is_schema_validated(tmp_path, monkeypatch):
+    cfg = write_config(
+        tmp_path,
+        {
+            "scenario": {"kind": "free_single", "n_th": 1.0, "strategy": "optimal"},
+            "sweep": {"parameter": "eta", "grid": [0.5, 1.0]},
+        },
+    )
+    schemas = []
+
+    def recording_validate(obj, schema):
+        schemas.append(schema)
+        return validate_report(obj, schema)
+
+    monkeypatch.setattr(cli, "validate_report", recording_validate)
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    assert schemas == [SWEEP_REPORT_SCHEMA]
+    payload = json.loads(out.read_text())
+    del payload["rows"][1]["unique_solution"]
+    with pytest.raises(jsonschema.ValidationError):
+        validate_report(payload, SWEEP_REPORT_SCHEMA)
 
 
 def simulate_config(seed=12345):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import gendyne.scenarios as scenarios
 from gendyne import (
+    ConvergenceError,
     ScenarioSpec,
     UnstableSystemError,
     run_scenario,
@@ -87,6 +89,25 @@ def test_report_bounds_vs_achieved_consistency():
                 report.entanglement_bound, abs=1e-6
             )
             assert report.pure
+
+
+@pytest.mark.parametrize("field", ["n_th", "chi", "eta", "phi"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_spec_rejects_non_finite_values(field, value):
+    kwargs = {"kind": "parametric", "n_th": 1.0, "chi": 0.2, field: value}
+    with pytest.raises(ValueError, match="finite"):
+        ScenarioSpec(**kwargs)
+
+
+@pytest.mark.parametrize("bound", ["squeezing_bound", "entanglement_bound"])
+def test_report_that_beats_its_bound_is_an_error(monkeypatch, bound):
+    # the optimal free two-mode loop sits exactly on both bounds; tighten
+    # one of them slightly and the report must refuse to beat it
+    original = getattr(scenarios, bound)
+    shift = (lambda b: b * (1.0 + 1e-6)) if bound == "squeezing_bound" else (lambda b: b - 1e-6)
+    monkeypatch.setattr(scenarios, bound, lambda dd: shift(original(dd)))
+    with pytest.raises(ConvergenceError, match="beats"):
+        run_scenario(ScenarioSpec("free_two_mode", 1.0))
 
 
 def test_threshold_efficiency_closed_form():
