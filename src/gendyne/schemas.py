@@ -270,9 +270,27 @@ SWEEP_COLUMNS = [
 ]
 
 
+# One validator per schema, built and its schema checked on first use;
+# jsonschema.validate redoes both on every call. Keyed by id(): a validator
+# holds its schema, so the id cannot be reused while it is cached.
+_VALIDATORS: dict[int, object] = {}
+
+
+def _validate(obj: dict, schema: dict) -> None:
+    """jsonschema.validate with a cached validator; raises the same error."""
+    validator = _VALIDATORS.get(id(schema))
+    if validator is None:
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        validator = _VALIDATORS[id(schema)] = cls(schema)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(obj))
+    if error is not None:
+        raise error
+
+
 def validate_config(obj: dict) -> dict:
     try:
-        jsonschema.validate(obj, CONFIG_SCHEMA)
+        _validate(obj, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"invalid configuration: {exc.message}") from exc
     return obj
@@ -293,5 +311,5 @@ def load_config(path: str | Path) -> dict:
 
 
 def validate_report(obj: dict, schema: dict) -> dict:
-    jsonschema.validate(obj, schema)
+    _validate(obj, schema)
     return obj

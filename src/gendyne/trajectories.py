@@ -12,10 +12,18 @@ y dt = C <R> dt + dw, shifts the mean dynamics to
 
 so the cancelling gain B = -(sigma_c C^T + Gamma^T) removes the noise at
 steady state. The scheme is Euler-Maruyama for the means (the noise is
-additive given sigma_c) and classical 4th-order Runge-Kutta for the
-deterministic CM path.
+additive given sigma_c); the deterministic CM path is exact on the step
+grid. With sigma_inf the stabilising steady state and
+F = A - Gamma^T C - sigma_inf C^T C (Hurwitz), the deviation
+Delta = sigma_c - sigma_inf obeys Delta' = F Delta + Delta F^T -
+Delta C^T C Delta, whose solution is
 
-One deterministic moment kernel serves every entry point. It integrates
+    Delta(t) = E Delta_0 (1 + W(t) Delta_0)^-1 E^T,    E = exp(F t),
+    W(t) = W_inf - E^T W_inf E,    F^T W_inf + W_inf F + C^T C = 0
+
+(Davison & Maki 1973; Kenney & Leipnik 1985).
+
+One deterministic moment kernel serves every entry point. It evaluates
 the CM path once and, with the one-step map P = 1 + dt A_eff and the
 per-step gains G_k, reduces each record interval of s = record_stride steps
 to the affine map P^s plus one Gaussian of covariance
@@ -41,18 +49,21 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy.linalg import expm
 
-from .conditioning import MeasurementSetup, riccati_rhs
+from .conditioning import MeasurementSetup, solve_riccati
 from .dynamics import DriftDiffusion, stability_check
 from .feedback import FeedbackLaw
-from .linalg import symmetrize
+from .linalg import lyapunov_solve, symmetrize
 from .symplectic import as_matrix
 
 # Fixed so that results do not depend on memory layout: trajectories are
 # processed in chunks, noise is drawn per chunk in blocks of time steps
-# (records, on the record-time path).
+# (records, on the record-time path). Each trajectory's stream is consumed
+# in the same order whatever the block size, so the block only bounds the
+# noise buffer.
 _TRAJ_CHUNK = 1024
-_STEP_BLOCK = 2048
+_STEP_BLOCK = 256
 
 # Eigenvalues of an interval covariance Q_j down to -_FACTOR_RTOL * ||Q_j||
 # are rounding noise and clipped to zero; Q_j itself may vanish (no
@@ -128,20 +139,42 @@ def _trajectory_generator(seed: int, index: int) -> np.random.Generator:
     )
 
 
-def _integrate_sigma_path(
+def _sigma_path(
     dd: DriftDiffusion, m: MeasurementSetup, sigma0: np.ndarray, n_steps: int, dt: float
 ) -> np.ndarray:
-    """RK4 path of the conditional CM on the full step grid (n_steps+1 entries)."""
-    path = np.empty((n_steps + 1,) + sigma0.shape)
-    sigma = sigma0.copy()
-    path[0] = sigma
-    for k in range(n_steps):
-        k1 = riccati_rhs(sigma, dd, m)
-        k2 = riccati_rhs(sigma + 0.5 * dt * k1, dd, m)
-        k3 = riccati_rhs(sigma + 0.5 * dt * k2, dd, m)
-        k4 = riccati_rhs(sigma + dt * k3, dd, m)
-        sigma = symmetrize(sigma + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-        path[k + 1] = sigma
+    """Closed-form conditional CM on the full step grid (n_steps+1 entries).
+
+    E_k = exp(F dt)^k is built by doubling (expm, not eig: F may be
+    defective); every step then takes one batched solve,
+    Delta_0 (1 + W_k Delta_0)^-1 = (1 + Delta_0 W_k)^-1 Delta_0.
+    """
+    dim = sigma0.shape[0]
+    sigma_inf = solve_riccati(dd, m, probe_uniqueness=False).sigma
+    ctc = m.c.T @ m.c
+    f = dd.a - m.gamma.T @ m.c - sigma_inf @ ctc
+    w_inf = lyapunov_solve(f.T, ctc)
+
+    e = np.empty((n_steps + 1, dim, dim))
+    e[0] = np.eye(dim)
+    e[1] = expm(f * dt)
+    k = 2
+    while k <= n_steps:
+        span = min(k - 1, n_steps + 1 - k)
+        e[k : k + span] = e[1 : span + 1] @ e[k - 1]
+        k += span
+    e_t = e.transpose(0, 2, 1)
+
+    delta0 = sigma0 - sigma_inf
+    lhs = delta0 @ (w_inf - e_t @ w_inf @ e)
+    lhs += np.eye(dim)
+    x = np.linalg.solve(lhs, np.broadcast_to(delta0, lhs.shape))
+    del lhs
+    path = e @ x @ e_t
+    path = (path + path.transpose(0, 2, 1)) / 2.0
+    path += sigma_inf
+    path[0] = sigma0
+    if not np.all(np.isfinite(path)):
+        raise FloatingPointError("conditional covariance path is not finite")
     return path
 
 
@@ -149,7 +182,7 @@ class _Moments(NamedTuple):
     """Deterministic part of an ensemble run, on the step and record grids."""
 
     sample_steps: np.ndarray  # step index of each record, (S,)
-    sigma_path: np.ndarray  # RK4 conditional CM, (n_steps + 1, 2n, 2n)
+    sigma_path: np.ndarray  # conditional CM, closed form, (n_steps + 1, 2n, 2n)
     gains: np.ndarray  # noise gains sigma_c C^T + Gamma^T (+ B), (n_steps, 2n, 2L)
     prop: np.ndarray  # one-step map P = 1 + dt A_eff
     record_prop: np.ndarray  # P^s, one record interval
@@ -167,7 +200,7 @@ def _moment_kernel(
     """CM path, gains and per-interval moments of the Euler-Maruyama scheme."""
     dim = dd.a.shape[0]
     n_steps, dt, stride = cfg.n_steps, cfg.dt, cfg.record_stride
-    sigma_path = _integrate_sigma_path(dd, m, symmetrize(as_matrix(sigma_c0)), n_steps, dt)
+    sigma_path = _sigma_path(dd, m, symmetrize(as_matrix(sigma_c0)), n_steps, dt)
     # Noise gains per step (left-point rule): sigma_c C^T + Gamma^T (+ B).
     gains = sigma_path[:-1] @ m.c.T + m.gamma.T
     drift = dd.a if b is None else dd.a + b @ m.c

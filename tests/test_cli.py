@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -12,11 +13,14 @@ from gendyne import cli
 from gendyne.cli import main, read_sweep_csv
 from gendyne.schemas import (
     BOUNDS_REPORT_SCHEMA,
+    CONFIG_SCHEMA,
     SIMULATE_REPORT_SCHEMA,
     STEADY_REPORT_SCHEMA,
     SWEEP_COLUMNS,
     SWEEP_REPORT_SCHEMA,
     TIGHTNESS_REPORT_SCHEMA,
+    ConfigError,
+    validate_config,
     validate_report,
 )
 
@@ -76,6 +80,25 @@ def test_config_errors_exit_2(tmp_path, capsys):
     bad_json.write_text("{not json")
     assert main(["bounds", "--config", str(bad_json)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"scenario": {"kind": "free_single", "n_th": 1.0, "kappa": 2.0}},
+        {"scenario": {"kind": "free_quad", "n_th": 1.0}},
+        {"scenario": {"kind": "free_unequal_baths", "n_th": [1.0, -1.0]}},
+        {"scenario": {"kind": "free_single", "n_th": 1.0}, "trajectories": {"dt": 0.1}},
+    ],
+)
+def test_config_error_messages_match_jsonschema(config):
+    # the cached validator reports the error jsonschema.validate picks, every time
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(config, CONFIG_SCHEMA)
+    for _ in range(2):
+        with pytest.raises(ConfigError) as raised:
+            validate_config(config)
+        assert str(raised.value) == f"invalid configuration: {expected.value.message}"
 
 
 @pytest.mark.parametrize(
@@ -281,6 +304,25 @@ def test_simulate_rejects_record_currents(tmp_path, capsys):
     cfg = write_config(tmp_path, obj)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 2
     assert "record_currents" in capsys.readouterr().err
+
+
+def test_simulate_large_occupation(tmp_path, capsys):
+    # At N = 1e3 the CM collapses from the thermal state at a rate of order
+    # N^2; the CM path is exact, so a failure may only come from the means.
+    obj = {
+        "scenario": {"kind": "free_single", "n_th": 1000.0, "strategy": "optimal"},
+        "trajectories": {"dt": 1e-3, "horizon": 5.0, "n_traj": 4, "seed": 7, "record_stride": 10},
+    }
+    cfg = write_config(tmp_path, obj)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no overflow anywhere
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim.json")])
+    assert code in (0, 3)
+    if code == 3:
+        assert "trajectory means diverged" in capsys.readouterr().err
+    else:
+        report = json.loads((tmp_path / "sim.json").read_text())
+        assert np.all(np.isfinite(report["reconstructed_sigma"]))
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gendyne import (
+    ScenarioSpec,
     ThermalBath,
     TrajectoryConfig,
     UnravellingMatrix,
@@ -21,7 +22,9 @@ from gendyne import (
     simulate_conditional,
     thermal_drift_diffusion,
 )
+from gendyne import trajectories
 from gendyne.cli import main
+from gendyne.scenarios import build_system, build_unravelling
 from gendyne.trajectories import _moment_kernel, _noise_factors
 
 
@@ -242,6 +245,81 @@ def test_spread_model_matches_per_step_recursion():
     # a simulation carries the same deterministic path
     rec = simulate_closed_loop(dd, m, fb, cfg, sigma_c0=sigma0)
     assert np.array_equal(rec.tau_path, tau_path)
+
+
+def _rk4_sigma_path(dd, m, sigma0, dt, n_steps, substeps):
+    """Conditional CM flow by classical RK4, `substeps` steps per grid step."""
+    a, d, c, gamma = dd.a, dd.d, m.c, m.gamma
+
+    def rhs(s):
+        k = c @ s + gamma
+        return a @ s + s @ a.T + d - k.T @ k
+
+    h = dt / substeps
+    sigma = sigma0
+    path = [sigma]
+    for _ in range(n_steps):
+        for _ in range(substeps):
+            k1 = rhs(sigma)
+            k2 = rhs(sigma + 0.5 * h * k1)
+            k3 = rhs(sigma + 0.5 * h * k2)
+            k4 = rhs(sigma + h * k3)
+            sigma = sigma + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            sigma = (sigma + sigma.T) / 2.0
+        path.append(sigma)
+    return np.array(path)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ScenarioSpec("free_two_mode", 10.0, "optimal"), ScenarioSpec("parametric", 1.0, "optimal", chi=0.3)],
+)
+def test_sigma_path_matches_fine_rk4(spec):
+    # From the Lyapunov state, as `gendyne simulate` starts. The collapse of
+    # free_two_mode at N = 10 runs at a rate of order 10^2; RK4 at the grid
+    # step 1e-4 is itself off by 8e-9 relative there, so the reference takes
+    # four RK4 steps per grid step.
+    dd, couplings, bath = build_system(spec)
+    m = measurement_matrices(couplings, build_unravelling(spec, bath), dd)
+    sigma0 = lyapunov_steady_state(dd).matrix
+    cfg = TrajectoryConfig(dt=1e-4, horizon=0.2, n_traj=1, seed=1)
+    path = _moment_kernel(dd, m, None, sigma0, cfg).sigma_path
+    expected = _rk4_sigma_path(dd, m, sigma0, cfg.dt, cfg.n_steps, substeps=4)
+    assert path.shape == expected.shape
+    assert np.max(np.abs(path - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+
+def test_sigma_path_large_occupation_stays_above_steady_state():
+    # N = 1e3 from the Lyapunov state: the collapse runs at a rate of order
+    # N^2, far beyond any explicit scheme at this step. A CM path from above
+    # the steady state stays above it (Riccati comparison theorem) and ends
+    # on it.
+    dd, m = optimal_setup(1e3)
+    target = riccati_steady_state(dd, m).matrix
+    cfg = TrajectoryConfig(dt=1e-2, horizon=30.0, n_traj=1, seed=1)
+    path = _moment_kernel(dd, m, None, lyapunov_steady_state(dd).matrix, cfg).sigma_path
+    assert np.all(np.isfinite(path))
+    gaps = np.linalg.eigvalsh(path - target)
+    assert np.all(gaps >= -1e-12 * np.max(np.abs(path), axis=(1, 2))[:, None])
+    assert np.max(np.abs(path[-1] - target)) <= 1e-8 * np.linalg.eigvalsh(target)[0]
+
+
+@pytest.mark.parametrize("currents", [False, True])
+def test_noise_block_size_does_not_change_output(monkeypatch, currents):
+    # two trajectory chunks, and a partial last block at either block size
+    dd, m = optimal_setup(1.0)
+    cfg = TrajectoryConfig(
+        dt=1e-2, horizon=3.0, n_traj=trajectories._TRAJ_CHUNK + 6, seed=19,
+        record_stride=3, record_currents=currents,
+    )
+    runs = []
+    for block in (7, trajectories._STEP_BLOCK):
+        monkeypatch.setattr(trajectories, "_STEP_BLOCK", block)
+        runs.append(simulate_conditional(dd, m, 3.0 * np.eye(2), np.zeros(2), cfg))
+    small, default = runs
+    assert np.array_equal(small.means, default.means)
+    if currents:
+        assert np.array_equal(small.currents, default.currents)
 
 
 @pytest.mark.parametrize("closed", [False, True])
