@@ -10,7 +10,6 @@ ensemble simulation.
 __version__ = "0.1.0"
 
 from .bounds import (
-    SpectralData,
     eig_product_bound,
     entanglement_bound,
     pt_nu_lower_bound,
@@ -22,7 +21,6 @@ from .conditioning import (
     MeasurementSetup,
     UnravellingMatrix,
     apply_efficiency,
-    efficiency_information_scale,
     measurement_matrices,
     named_unravelling,
     riccati_rhs,
@@ -34,6 +32,7 @@ from .conditioning import (
 from .dynamics import (
     CouplingOperators,
     DriftDiffusion,
+    SpectralData,
     ThermalBath,
     build_drift_diffusion,
     evolve_covariance,
@@ -62,7 +61,6 @@ from .scenarios import (
 from .symplectic import (
     Bipartition,
     CovarianceMatrix,
-    is_pure,
     log_negativity,
     physicality_check,
     pt_min_symplectic_eigenvalue,
@@ -107,13 +105,11 @@ __all__ = [
     "build_drift_diffusion",
     "closed_loop",
     "default_burn_in",
-    "efficiency_information_scale",
     "eig_product_bound",
     "ensemble_statistics",
     "entanglement_bound",
     "evolve_covariance",
     "feedback_gain",
-    "is_pure",
     "log_negativity",
     "lyapunov_steady_state",
     "mean_spread_model",

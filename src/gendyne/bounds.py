@@ -18,13 +18,11 @@ handled exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy.linalg import subspace_angles
 from scipy.optimize import minimize
 
-from .dynamics import DriftDiffusion, stability_check
+from .dynamics import DriftDiffusion, SpectralData, stability_check
 from .errors import UnstableSystemError
 from .symplectic import Bipartition, symplectic_form
 
@@ -32,26 +30,10 @@ from .symplectic import Bipartition, symplectic_form
 TIGHTNESS_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class SpectralData:
-    """Eigen-decompositions of -(A + A^T) (increasing) and D (decreasing)."""
-
-    alphas: np.ndarray = field(repr=False)
-    alpha_vectors: np.ndarray = field(repr=False)
-    deltas: np.ndarray = field(repr=False)
-    delta_vectors: np.ndarray = field(repr=False)
-
-    @classmethod
-    def from_drift_diffusion(cls, dd: DriftDiffusion) -> "SpectralData":
-        a_vals, a_vecs = np.linalg.eigh(-(dd.a + dd.a.T))
-        d_vals, d_vecs = np.linalg.eigh(dd.d)
-        return cls(a_vals, a_vecs, d_vals[::-1].copy(), d_vecs[:, ::-1].copy())
-
-
 def _require_stable(dd: DriftDiffusion) -> SpectralData:
     if not stability_check(dd).stable:
         raise UnstableSystemError("bounds are defined for stable drift only")
-    return SpectralData.from_drift_diffusion(dd)
+    return dd.spectrum
 
 
 def squeezing_bound(dd: DriftDiffusion) -> float:

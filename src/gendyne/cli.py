@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -37,6 +38,7 @@ from .scenarios import (
     build_unravelling,
     run_scenario,
     sweep,
+    threshold_efficiency,
 )
 from .schemas import (
     BOUNDS_REPORT_SCHEMA,
@@ -138,10 +140,15 @@ def _with_provenance(config: dict, body: dict) -> dict:
     return {"library_version": __version__, "config": _resolve_config(config), **body}
 
 
+def _limits_report(config: dict) -> Report:
+    # Limits and tightness flags depend on (A, D) only, which the monitoring
+    # does not change: the unmonitored report skips the conditional steady
+    # state and the thresholds, which bounds and check-tightness never print.
+    return run_scenario(replace(_scenario_from_config(config), strategy="none"))
+
+
 def cmd_bounds(config: dict, out: Optional[str]) -> None:
-    spec = _scenario_from_config(config)
-    report = run_scenario(spec, numeric_thresholds=True)
-    body = report.to_dict()
+    body = _limits_report(config).to_dict()
     obj = _with_provenance(
         config,
         {
@@ -157,17 +164,16 @@ def cmd_bounds(config: dict, out: Optional[str]) -> None:
 
 def cmd_steady(config: dict, out: Optional[str]) -> None:
     spec = _scenario_from_config(config)
-    report = run_scenario(spec, numeric_thresholds=True)
-    body = report.to_dict()
-    obj = _with_provenance(config, body)
+    report = run_scenario(spec)
+    if spec.strategy == "optimal" and spec.n_modes == 2:
+        report = replace(report, threshold_eta=threshold_efficiency(spec))
+    obj = _with_provenance(config, report.to_dict())
     validate_report(obj, STEADY_REPORT_SCHEMA)
     _emit(_json_text(obj), out)
 
 
 def cmd_check_tightness(config: dict, out: Optional[str]) -> None:
-    spec = _scenario_from_config(config)
-    report = run_scenario(spec)
-    body = report.to_dict()
+    body = _limits_report(config).to_dict()
     obj = _with_provenance(
         config,
         {
@@ -195,28 +201,11 @@ def _csv_cell(value) -> str:
 
 
 def sweep_rows(parameter: str, grid: list[float], reports: list[Report]) -> list[dict]:
-    rows = []
-    for value, report in zip(grid, reports):
-        rows.append(
-            {
-                "parameter": parameter,
-                "value": value,
-                "stable": report.stable,
-                "squeezing_bound": report.squeezing_bound,
-                "achieved_min_eigenvalue": report.achieved_min_eigenvalue,
-                "entanglement_bound": report.entanglement_bound,
-                "achieved_log_negativity": report.achieved_log_negativity,
-                "tightness_squeezing": report.tightness_squeezing,
-                "tightness_entanglement": report.tightness_entanglement,
-                "pure": report.pure,
-                "purity": report.purity,
-                "riccati_residual": report.riccati_residual,
-                "closed_loop_residual": report.closed_loop_residual,
-                "threshold_eta": report.threshold_eta,
-                "threshold_chi": report.threshold_chi,
-            }
-        )
-    return rows
+    return [
+        {"parameter": parameter, "value": value}
+        | {col: getattr(report, col) for col in SWEEP_COLUMNS[2:]}
+        for value, report in zip(grid, reports)
+    ]
 
 
 def write_sweep_csv(rows: list[dict]) -> str:
@@ -272,6 +261,16 @@ def cmd_simulate(config: dict, out: Optional[str], seed_override: Optional[int])
     dd, couplings, bath = build_system(spec)
     if not stability_check(dd).stable:
         raise GendyneError("scenario is unstable (stability check failed)")
+    burn_in = config["trajectories"].get("burn_in")
+    if burn_in is None:
+        burn_in = min(default_burn_in(dd), 0.5 * cfg.horizon)
+    # The grid of the records the ensemble returns (TrajectoryRecord.times).
+    times = np.arange(0, cfg.n_steps + 1, cfg.record_stride) * cfg.dt
+    if not np.any((times >= burn_in) & (times <= cfg.horizon)):
+        raise ConfigError(
+            f"no record time lies in the stationary window [{burn_in:g}, {cfg.horizon:g}]"
+            f" (dt {cfg.dt:g}, record_stride {cfg.record_stride})"
+        )
     m = measurement_matrices(couplings, build_unravelling(spec, bath), dd)
     sigma_lyap = lyapunov_steady_state(dd).matrix
     sigma_c = solve_riccati(dd, m, probe_uniqueness=False).sigma
@@ -284,9 +283,6 @@ def cmd_simulate(config: dict, out: Optional[str], seed_override: Optional[int])
         record = simulate_closed_loop(dd, m, fb, cfg, sigma_c0=sigma_lyap)
         predicted = sigma_c
 
-    burn_in = config.get("trajectories", {}).get("burn_in")
-    if burn_in is None:
-        burn_in = min(default_burn_in(dd), 0.5 * cfg.horizon)
     stats = ensemble_statistics(record, (burn_in, cfg.horizon))
 
     deviation = np.abs(stats.sigma - predicted)

@@ -30,9 +30,9 @@ and the conditional covariance matrix obeys the deterministic Riccati flow
 Detector efficiency eta in [0, 1] models a beam splitter with vacuum on the
 idle port in front of each detector. The signal carried by the record lives
 on the squeezed output band, whose scale is the best reachable conditional
-variance lam* = alpha_1 / delta_1 (smallest eigenvalue of -(A + A^T) over
-largest of D), so admixing (1 - eta) of vacuum rescales the extracted
-information by
+variance lam* = alpha_1 / delta_1 (bounds.squeezing_bound: smallest
+eigenvalue of -(A + A^T) over largest of D), so admixing (1 - eta) of vacuum
+rescales the extracted information by
 
     s(eta) = eta lam* / (eta lam* + 1 - eta),
 
@@ -60,6 +60,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.linalg import solve_continuous_are
 
+from .bounds import squeezing_bound
 from .dynamics import (
     CouplingOperators,
     DriftDiffusion,
@@ -185,23 +186,6 @@ class MeasurementSetup:
         return max_abs(self.c) == 0.0 and max_abs(self.gamma) == 0.0
 
 
-def efficiency_information_scale(eta: float, dd: DriftDiffusion) -> float:
-    """Fraction of record information surviving detector loss (see module docs).
-
-    Vacuum admixed at the detectors competes with the squeezed output band,
-    whose scale is the squeezing limit lam* = alpha_1 / delta_1 of (A, D).
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("efficiency must lie in [0, 1]")
-    if eta == 1.0:
-        return 1.0
-    stability = stability_check(dd)
-    if not stability.stable:
-        raise UnstableSystemError("efficiency model requires a stable system")
-    lam_star = stability.alphas[0] / np.linalg.eigvalsh(dd.d)[-1]
-    return eta * lam_star / (eta * lam_star + 1.0 - eta)
-
-
 def measurement_matrices(
     couplings: CouplingOperators,
     unravelling: UnravellingMatrix,
@@ -212,8 +196,9 @@ def measurement_matrices(
     C = (2 U_eta)^(1/2) C_bar and Gamma = (2 U_eta)^(1/2) S C_bar Omega, with
     U_eta = s(eta) U and the square root taken by symmetric eigendecomposition
     (eigenvalues in [-1e-12, 0) clipped to zero; anything lower is rejected).
-    The drift/diffusion pair is only needed when eta < 1 (it sets the squeezed
-    output scale entering the efficiency model).
+    The drift/diffusion pair is only needed when eta < 1: its squeezing limit
+    sets the squeezed output scale lam* of the efficiency model (a stable
+    pair is required).
     """
     diag = validate_unravelling(unravelling)
     if not diag.valid:
@@ -223,7 +208,8 @@ def measurement_matrices(
     if unravelling.eta < 1.0:
         if dd is None:
             raise ValueError("eta < 1 requires the drift/diffusion pair")
-        scale = efficiency_information_scale(unravelling.eta, dd)
+        eta, lam_star = unravelling.eta, squeezing_bound(dd)
+        scale = eta * lam_star / (eta * lam_star + 1.0 - eta)
     else:
         scale = 1.0
     root = psd_sqrt(2.0 * scale * unravelling.u_matrix)

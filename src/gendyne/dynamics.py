@@ -17,6 +17,7 @@ thermal-bath builders carry no explicit rate argument.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -107,6 +108,27 @@ class DriftDiffusion:
     def n(self) -> int:
         return self.a.shape[0] // 2
 
+    @cached_property
+    def spectrum(self) -> SpectralData:
+        """Eigen-decompositions of -(A + A^T) and D, computed once and shared read-only."""
+        a_vals, a_vecs = np.linalg.eigh(-(self.a + self.a.T))
+        d_vals, d_vecs = np.linalg.eigh(self.d)
+        return SpectralData(a_vals, a_vecs, d_vals[::-1].copy(), d_vecs[:, ::-1].copy())
+
+
+@dataclass(frozen=True)
+class SpectralData:
+    """Eigen-decompositions of -(A + A^T) (increasing) and D (decreasing)."""
+
+    alphas: np.ndarray = field(repr=False)
+    alpha_vectors: np.ndarray = field(repr=False)
+    deltas: np.ndarray = field(repr=False)
+    delta_vectors: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        for x in (self.alphas, self.alpha_vectors, self.deltas, self.delta_vectors):
+            x.setflags(write=False)
+
 
 class StabilityResult(NamedTuple):
     stable: bool
@@ -174,7 +196,7 @@ def thermal_drift_diffusion(
 
 def stability_check(dd: DriftDiffusion) -> StabilityResult:
     """A steady state exists iff all eigenvalues of -(A + A^T) are positive."""
-    alphas = np.linalg.eigvalsh(-(dd.a + dd.a.T))
+    alphas = dd.spectrum.alphas
     return StabilityResult(bool(alphas[0] > 0.0), alphas)
 
 

@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from .bounds import (
-    SpectralData,
     eig_product_bound,
     entanglement_bound,
     pt_nu_lower_bound,
@@ -224,20 +223,18 @@ class Report:
         }
 
 
-def run_scenario(spec: ScenarioSpec, *, numeric_thresholds: bool = False) -> Report:
+def run_scenario(spec: ScenarioSpec) -> Report:
     """Assemble system, monitoring, bounds, steady state and verification.
 
-    With numeric_thresholds the entangling scenarios also carry the
-    bisection estimate of the efficiency threshold (closed form scenarios
-    always do).
+    The efficiency threshold is filled in only where it has a closed form
+    (free two-mode system, optimal strategy); threshold_efficiency bisects
+    it for the other entangling scenarios.
     """
     dd, couplings, bath = build_system(spec)
-    stability = stability_check(dd)
-    if not stability.stable:
+    if not stability_check(dd).stable:
         raise UnstableSystemError(
             f"scenario {spec.kind} is unstable (stability check failed)"
         )
-    spectral = SpectralData.from_drift_diffusion(dd)
     two_mode = spec.n_modes == 2
     bipartition = Bipartition.last_modes(2) if two_mode else None
 
@@ -269,12 +266,11 @@ def run_scenario(spec: ScenarioSpec, *, numeric_thresholds: bool = False) -> Rep
     sigma_loop = lyapunov_steady_state(loop.as_drift_diffusion()).matrix
     loop_residual = max_abs(sigma_loop - sigma_c)
 
-    threshold_eta: Optional[float] = None
-    if two_mode and spec.strategy == "optimal":
-        if spec.kind == "free_two_mode":
-            threshold_eta = threshold_efficiency(spec)
-        elif numeric_thresholds:
-            threshold_eta = threshold_efficiency(spec)
+    threshold_eta = (
+        threshold_efficiency(spec)
+        if spec.kind == "free_two_mode" and spec.strategy == "optimal"
+        else None
+    )
     threshold_chi = (
         threshold_coupling(spec.n_th) if spec.kind == "parametric" else None
     )
@@ -282,8 +278,8 @@ def run_scenario(spec: ScenarioSpec, *, numeric_thresholds: bool = False) -> Rep
     return Report(
         spec=spec,
         stable=True,
-        alphas=stability.alphas,
-        deltas=spectral.deltas,
+        alphas=dd.spectrum.alphas,
+        deltas=dd.spectrum.deltas,
         squeezing_bound=sq_bound,
         eig_product_bound=eig_product_bound(dd),
         entanglement_bound=ent_bound,

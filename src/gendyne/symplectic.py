@@ -18,13 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (
-    check_symmetric,
-    max_abs,
-    min_eigenvalue,
-    psd_tolerance,
-    symmetrize,
-)
+from .linalg import check_symmetric, min_eigenvalue, psd_tolerance, symmetrize
 
 
 def symplectic_form(n: int) -> np.ndarray:
@@ -176,11 +170,6 @@ def log_negativity(sigma, bipartition: Bipartition) -> float:
     if nu >= 1.0 - 1e-12:
         return 0.0
     return -float(np.log2(nu))
-
-
-def is_pure(sigma, tol: float = 1e-8) -> bool:
-    """All symplectic eigenvalues equal to 1 within tol."""
-    return bool(max_abs(symplectic_eigenvalues(sigma) - 1.0) <= tol)
 
 
 def purity(sigma) -> float:

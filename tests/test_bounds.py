@@ -16,6 +16,7 @@ from gendyne import (
     pt_nu_lower_bound,
     solve_riccati,
     squeezing_bound,
+    stability_check,
     thermal_drift_diffusion,
     tightness_entanglement,
     tightness_squeezing,
@@ -64,6 +65,37 @@ def test_bounds_require_stability():
     squeezing_bound(dd)
     with pytest.raises(UnstableSystemError):
         squeezing_bound(thermal_drift_diffusion(parametric_hamiltonian(0.6), ThermalBath((1.0, 1.0)))[0])
+
+
+@pytest.mark.parametrize(
+    "make_dd",
+    [lambda: free_dd(2.0, 1.0), lambda: parametric_dd(0.3, 1.0)],
+    ids=["unequal_baths", "parametric"],
+)
+def test_one_spectrum_per_drift_diffusion(monkeypatch, make_dd):
+    # stability, the four bounds and both predicates share one decomposition
+    # of -(A + A^T) and one of D, held read-only on the pair
+    dd = make_dd()
+    calls = []
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+    assert stability_check(dd).stable
+    for bound in (squeezing_bound, eig_product_bound, pt_nu_lower_bound, entanglement_bound):
+        bound(dd)
+    tightness_squeezing(dd)
+    tightness_entanglement(dd, BP)
+    assert calls == ["eigh", "eigh"]
+    assert stability_check(dd).alphas is dd.spectrum.alphas
+    with pytest.raises(ValueError, match="read-only"):
+        dd.spectrum.alphas[0] = 0.0
 
 
 def test_tightness_squeezing_cases():

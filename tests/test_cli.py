@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from gendyne import cli
+from gendyne import ScenarioSpec, cli, run_scenario
 from gendyne.cli import main, read_sweep_csv
 from gendyne.schemas import (
     BOUNDS_REPORT_SCHEMA,
@@ -128,6 +128,36 @@ def test_report_beating_its_bound_exits_3(tmp_path, capsys):
     assert err.startswith("numerical failure:") and "beats" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_limits_need_no_steady_state(tmp_path, capsys):
+    # the limits of (A, D) are well defined where the steady state fails
+    cfg = write_config(tmp_path, {"scenario": {"kind": "free_two_mode", "n_th": 10000}})
+    unmonitored = run_scenario(ScenarioSpec("free_two_mode", 10000, "none")).to_dict()
+    for command, blocks in (("bounds", ("bounds", "tightness")), ("check-tightness", ("tightness",))):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["scenario"]["strategy"] == "optimal"
+        for block in ("spectral", *blocks):
+            assert report[block] == unmonitored[block]
+    assert main(["steady", "--config", cfg, "--out", str(tmp_path / "steady.json")]) == 3
+    capsys.readouterr()
+
+
+def test_only_steady_bisects_the_efficiency_threshold(tmp_path):
+    # reports and sweeps carry closed-form thresholds only
+    scenario = {"kind": "parametric", "n_th": 1.0, "chi": 0.3}
+    assert run_scenario(ScenarioSpec(**scenario)).threshold_eta is None
+    cfg = write_config(
+        tmp_path, {"scenario": scenario, "sweep": {"parameter": "eta", "grid": [0.9, 1.0]}}
+    )
+    table = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(table)]) == 0
+    assert [row["threshold_eta"] for row in read_sweep_csv(table.read_text())] == [None, None]
+    out = tmp_path / "steady.json"
+    assert main(["steady", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["thresholds"]["eta"] == pytest.approx(0.80, abs=0.01)
 
 
 def test_steady_reports(tmp_path):
@@ -295,6 +325,22 @@ def test_simulate_bad_dt_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, obj)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "trajectories, window",
+    [
+        ({"burn_in": 10, "horizon": 4}, "[10, 4]"),
+        ({"record_stride": 1000, "dt": 0.01, "horizon": 4}, "[2, 4]"),  # one record, at t = 0
+    ],
+)
+def test_simulate_empty_window_exits_2(tmp_path, capsys, trajectories, window):
+    obj = simulate_config()
+    obj["trajectories"].update(trajectories)
+    cfg = write_config(tmp_path, obj)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and f"window {window}" in err
 
 
 def test_simulate_rejects_record_currents(tmp_path, capsys):
