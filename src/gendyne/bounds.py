@@ -93,22 +93,17 @@ def tightness_squeezing(dd: DriftDiffusion) -> bool:
     return _principal_angle(e_alpha, e_delta) < TIGHTNESS_TOL
 
 
-def _tightness_residual(
-    x: np.ndarray,
-    q1: np.ndarray,
-    proj_out: list[np.ndarray],
-    quad_forms: list[np.ndarray],
-) -> float:
-    """Sum of squared condition residuals for a candidate alpha_1 = q1 x."""
+def _tightness_residual(x: np.ndarray, q1: np.ndarray, quad_forms: list[np.ndarray]) -> float:
+    """Sum of squared quadratic-condition residuals for a candidate alpha_1 = q1 x.
+
+    The linear conditions hold on the span of q1 by construction.
+    """
     v = q1 @ x
     norm = np.linalg.norm(v)
     if norm < 1e-12:
         return 1.0
     v = v / norm
     total = 0.0
-    for p in proj_out:
-        r = p @ v
-        total += float(r @ r)
     for q in quad_forms:
         total += float(v @ q @ v) ** 2
     return total
@@ -172,8 +167,7 @@ def tightness_entanglement(dd: DriftDiffusion, bipartition: Bipartition) -> bool
         return False
     q1 = e1 @ nullspace
 
-    proj_maps: list[np.ndarray] = []  # linear conditions already satisfied on q1
-    residual = lambda x: _tightness_residual(x, q1, proj_maps, quad_forms)
+    residual = lambda x: _tightness_residual(x, q1, quad_forms)
 
     # Deterministic multistart: coordinate directions plus seeded random starts.
     dim_v = q1.shape[1]

@@ -28,15 +28,16 @@ import numpy as np
 
 from . import __version__
 from .conditioning import measurement_matrices, solve_riccati
-from .dynamics import lyapunov_steady_state, stability_check
+from .dynamics import lyapunov_steady_state
 from .errors import GendyneError
 from .feedback import feedback_gain
 from .scenarios import (
+    Limits,
     Report,
     ScenarioSpec,
-    build_system,
     build_unravelling,
     run_scenario,
+    stable_system,
     sweep,
     threshold_efficiency,
 )
@@ -56,11 +57,28 @@ from .trajectories import (
     default_burn_in,
     ensemble_statistics,
     simulate_closed_loop,
-    simulate_conditional,
 )
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+
+def _resolve_config(config: dict, seed: Optional[int] = None) -> dict:
+    """Materialize defaults, grid and seed: commands and reports read the exact parameters."""
+    resolved = json.loads(json.dumps(config))
+    sc = resolved["scenario"]
+    sc.setdefault("strategy", "optimal")
+    sc.setdefault("eta", 1.0)
+    sc.setdefault("phi", 0.0)
+    if "trajectories" in resolved:
+        tr = resolved["trajectories"]
+        tr.setdefault("record_stride", 1)
+        if seed is not None:
+            tr["seed"] = seed
+    if "sweep" in resolved and isinstance(resolved["sweep"]["grid"], dict):
+        g = resolved["sweep"]["grid"]
+        resolved["sweep"]["grid"] = np.linspace(g["start"], g["stop"], g["count"]).tolist()
+    return resolved
 
 
 def _scenario_from_config(config: dict) -> ScenarioSpec:
@@ -72,16 +90,16 @@ def _scenario_from_config(config: dict) -> ScenarioSpec:
         return ScenarioSpec(
             kind=sc["kind"],
             n_th=n_th,
-            strategy=sc.get("strategy", "optimal"),
+            strategy=sc["strategy"],
             chi=sc.get("chi"),
-            eta=sc.get("eta", 1.0),
-            phi=sc.get("phi", 0.0),
+            eta=sc["eta"],
+            phi=sc["phi"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _trajectory_config(config: dict, seed_override: Optional[int]) -> TrajectoryConfig:
+def _trajectory_config(config: dict) -> TrajectoryConfig:
     if "trajectories" not in config:
         raise ConfigError("simulate needs a 'trajectories' section")
     tr = config["trajectories"]
@@ -90,8 +108,8 @@ def _trajectory_config(config: dict, seed_override: Optional[int]) -> Trajectory
             dt=tr["dt"],
             horizon=tr["horizon"],
             n_traj=tr["n_traj"],
-            seed=seed_override if seed_override is not None else tr["seed"],
-            record_stride=tr.get("record_stride", 1),
+            seed=tr["seed"],
+            record_stride=tr["record_stride"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -101,12 +119,9 @@ def _sweep_grid(config: dict) -> tuple[str, list[float]]:
     if "sweep" not in config:
         raise ConfigError("sweep needs a 'sweep' section")
     sw = config["sweep"]
-    grid = sw["grid"]
-    if isinstance(grid, dict):
-        grid = np.linspace(grid["start"], grid["stop"], grid["count"]).tolist()
-    if not grid:
+    if not sw["grid"]:
         raise ConfigError("sweep grid is empty")
-    return sw["parameter"], [float(g) for g in grid]
+    return sw["parameter"], [float(g) for g in sw["grid"]]
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -120,44 +135,17 @@ def _json_text(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _resolve_config(config: dict) -> dict:
-    """Materialize defaults so reports carry the exact parameters used."""
-    resolved = json.loads(json.dumps(config))
-    sc = resolved["scenario"]
-    sc.setdefault("strategy", "optimal")
-    sc.setdefault("eta", 1.0)
-    sc.setdefault("phi", 0.0)
-    if "trajectories" in resolved:
-        tr = resolved["trajectories"]
-        tr.setdefault("record_stride", 1)
-    if "sweep" in resolved and isinstance(resolved["sweep"]["grid"], dict):
-        g = resolved["sweep"]["grid"]
-        resolved["sweep"]["grid"] = np.linspace(g["start"], g["stop"], g["count"]).tolist()
-    return resolved
-
-
 def _with_provenance(config: dict, body: dict) -> dict:
-    return {"library_version": __version__, "config": _resolve_config(config), **body}
+    return {"library_version": __version__, "config": config, **body}
 
 
-def _limits_report(config: dict) -> Report:
-    # Limits and tightness flags depend on (A, D) only, which the monitoring
-    # does not change: the unmonitored report skips the conditional steady
-    # state and the thresholds, which bounds and check-tightness never print.
-    return run_scenario(replace(_scenario_from_config(config), strategy="none"))
+def _limits(config: dict) -> Limits:
+    # The limits depend on (A, D) only, which the monitoring does not change.
+    return Limits.of(stable_system(_scenario_from_config(config))[0])
 
 
 def cmd_bounds(config: dict, out: Optional[str]) -> None:
-    body = _limits_report(config).to_dict()
-    obj = _with_provenance(
-        config,
-        {
-            "stable": body["stable"],
-            "spectral": body["spectral"],
-            "bounds": body["bounds"],
-            "tightness": body["tightness"],
-        },
-    )
+    obj = _with_provenance(config, _limits(config).to_dict())
     validate_report(obj, BOUNDS_REPORT_SCHEMA)
     _emit(_json_text(obj), out)
 
@@ -173,15 +161,9 @@ def cmd_steady(config: dict, out: Optional[str]) -> None:
 
 
 def cmd_check_tightness(config: dict, out: Optional[str]) -> None:
-    body = _limits_report(config).to_dict()
-    obj = _with_provenance(
-        config,
-        {
-            "stable": body["stable"],
-            "spectral": body["spectral"],
-            "tightness": body["tightness"],
-        },
-    )
+    body = _limits(config).to_dict()
+    del body["bounds"]
+    obj = _with_provenance(config, body)
     validate_report(obj, TIGHTNESS_REPORT_SCHEMA)
     _emit(_json_text(obj), out)
 
@@ -255,12 +237,10 @@ def cmd_sweep(config: dict, out: Optional[str], fmt: str) -> None:
         _emit(_json_text(obj), out)
 
 
-def cmd_simulate(config: dict, out: Optional[str], seed_override: Optional[int]) -> None:
+def cmd_simulate(config: dict, out: Optional[str]) -> None:
     spec = _scenario_from_config(config)
-    cfg = _trajectory_config(config, seed_override)
-    dd, couplings, bath = build_system(spec)
-    if not stability_check(dd).stable:
-        raise GendyneError("scenario is unstable (stability check failed)")
+    cfg = _trajectory_config(config)
+    dd, couplings, bath = stable_system(spec)
     burn_in = config["trajectories"].get("burn_in")
     if burn_in is None:
         burn_in = min(default_burn_in(dd), 0.5 * cfg.horizon)
@@ -273,16 +253,9 @@ def cmd_simulate(config: dict, out: Optional[str], seed_override: Optional[int])
         )
     m = measurement_matrices(couplings, build_unravelling(spec, bath), dd)
     sigma_lyap = lyapunov_steady_state(dd).matrix
-    sigma_c = solve_riccati(dd, m, probe_uniqueness=False).sigma
-
-    if spec.strategy == "none":
-        record = simulate_conditional(dd, m, sigma_lyap, np.zeros(dd.a.shape[0]), cfg)
-        predicted = sigma_lyap
-    else:
-        fb = feedback_gain(sigma_c, m)
-        record = simulate_closed_loop(dd, m, fb, cfg, sigma_c0=sigma_lyap)
-        predicted = sigma_c
-
+    # Unmonitored, the gain is zero and sigma_c is the Lyapunov state.
+    predicted = solve_riccati(dd, m, probe_uniqueness=False).sigma
+    record = simulate_closed_loop(dd, m, feedback_gain(predicted, m), cfg, sigma_c0=sigma_lyap)
     stats = ensemble_statistics(record, (burn_in, cfg.horizon))
 
     deviation = np.abs(stats.sigma - predicted)
@@ -296,8 +269,6 @@ def cmd_simulate(config: dict, out: Optional[str], seed_override: Optional[int])
     with_se = np.all(
         np.abs(stats.tau - tau_model) <= 3.0 * np.maximum(stats.se_sigma, 1e-12)
     )
-    if seed_override is not None:
-        config = {**config, "trajectories": {**config["trajectories"], "seed": seed_override}}
     obj = _with_provenance(
         config,
         {
@@ -340,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
+        config = _resolve_config(load_config(args.config), getattr(args, "seed", None))
         if args.command == "bounds":
             cmd_bounds(config, args.out)
         elif args.command == "steady":
@@ -350,7 +321,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         elif args.command == "sweep":
             cmd_sweep(config, args.out, args.format)
         elif args.command == "simulate":
-            cmd_simulate(config, args.out, args.seed)
+            cmd_simulate(config, args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

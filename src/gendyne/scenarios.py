@@ -3,10 +3,10 @@
 Four system families are covered: a single damped mode, two damped modes
 with equal or unequal thermal baths, and two modes coupled by a two-mode
 squeezing interaction H = chi (x1 p2 + p1 x2) (stable for chi < 1/2).
-For each, a monitoring strategy (optimal, homodyne, or none) is turned into
-a full report: spectral limits, the achieved conditional steady state, the
-cancelling feedback gain with its closed-loop verification, saturation
-flags and threshold values.
+The spectral limits and saturation flags depend on (A, D) alone (Limits).
+A monitoring strategy (optimal, homodyne, or none) extends them to a full
+report: the achieved conditional steady state, the cancelling feedback gain
+with its closed-loop verification, and threshold values.
 """
 
 from __future__ import annotations
@@ -54,6 +54,9 @@ from .symplectic import (
 
 SCENARIO_KINDS = ("free_single", "free_two_mode", "free_unequal_baths", "parametric")
 STRATEGIES = ("optimal", "homodyne", "none")
+
+# Entanglement of every two-mode scenario is taken across this cut.
+TWO_MODE_CUT = Bipartition.last_modes(2)
 
 
 def parametric_hamiltonian(chi: float) -> np.ndarray:
@@ -135,6 +138,16 @@ def build_system(spec: ScenarioSpec) -> tuple[DriftDiffusion, CouplingOperators,
     return dd, couplings, bath
 
 
+def stable_system(spec: ScenarioSpec) -> tuple[DriftDiffusion, CouplingOperators, ThermalBath]:
+    """build_system, refusing a drift without a steady state."""
+    dd, couplings, bath = build_system(spec)
+    if not stability_check(dd).stable:
+        raise UnstableSystemError(
+            f"scenario {spec.kind} is unstable (stability check failed)"
+        )
+    return dd, couplings, bath
+
+
 def build_unravelling(spec: ScenarioSpec, bath: ThermalBath) -> UnravellingMatrix:
     if spec.strategy == "none":
         return UnravellingMatrix.zero(2 * bath.n)
@@ -148,17 +161,62 @@ def build_unravelling(spec: ScenarioSpec, bath: ThermalBath) -> UnravellingMatri
 
 
 @dataclass(frozen=True)
-class Report:
-    """Everything a scenario run produces, bounds next to achieved values."""
+class Limits:
+    """Spectral limits and saturation flags of one stable (A, D).
 
-    spec: ScenarioSpec
-    stable: bool
+    No monitoring enters: every strategy on the same system shares them. The
+    entanglement fields are None for a single mode. The bounds refuse an
+    unstable drift, so every Limits is stable.
+    """
+
+    stable = True
     alphas: np.ndarray
     deltas: np.ndarray
     squeezing_bound: float
     eig_product_bound: float
     entanglement_bound: Optional[float]
     pt_nu_lower_bound: Optional[float]
+    tightness_squeezing: bool
+    tightness_entanglement: Optional[bool]
+
+    @classmethod
+    def of(cls, dd: DriftDiffusion) -> Limits:
+        two_mode = dd.a.shape[0] == 4
+        return cls(
+            alphas=dd.spectrum.alphas,
+            deltas=dd.spectrum.deltas,
+            squeezing_bound=squeezing_bound(dd),
+            eig_product_bound=eig_product_bound(dd),
+            entanglement_bound=entanglement_bound(dd) if two_mode else None,
+            pt_nu_lower_bound=pt_nu_lower_bound(dd) if two_mode else None,
+            tightness_squeezing=tightness_squeezing(dd),
+            tightness_entanglement=(
+                tightness_entanglement(dd, TWO_MODE_CUT) if two_mode else None
+            ),
+        )
+
+    def to_dict(self) -> dict:
+        return {
+            "stable": self.stable,
+            "spectral": {"alphas": self.alphas.tolist(), "deltas": self.deltas.tolist()},
+            "bounds": {
+                "squeezing": self.squeezing_bound,
+                "eig_product": self.eig_product_bound,
+                "entanglement": self.entanglement_bound,
+                "pt_nu_lower": self.pt_nu_lower_bound,
+            },
+            "tightness": {
+                "squeezing": self.tightness_squeezing,
+                "entanglement": self.tightness_entanglement,
+            },
+        }
+
+
+@dataclass(frozen=True)
+class Report(Limits):
+    """Everything a scenario run produces, bounds next to achieved values."""
+
+    spec: ScenarioSpec
     sigma_c: np.ndarray
     achieved_min_eigenvalue: float
     achieved_log_negativity: Optional[float]
@@ -166,8 +224,6 @@ class Report:
     symplectic_eigenvalues: np.ndarray
     pure: bool
     purity: float
-    tightness_squeezing: bool
-    tightness_entanglement: Optional[bool]
     physicality_margin: float
     stabilising_margin: float
     riccati_residual: float
@@ -189,14 +245,7 @@ class Report:
                 "eta": self.spec.eta,
                 "phi": self.spec.phi,
             },
-            "stable": self.stable,
-            "spectral": {"alphas": arr(self.alphas), "deltas": arr(self.deltas)},
-            "bounds": {
-                "squeezing": self.squeezing_bound,
-                "eig_product": self.eig_product_bound,
-                "entanglement": self.entanglement_bound,
-                "pt_nu_lower": self.pt_nu_lower_bound,
-            },
+            **super().to_dict(),
             "sigma_c": arr(self.sigma_c),
             "achieved": {
                 "min_eigenvalue": self.achieved_min_eigenvalue,
@@ -205,10 +254,6 @@ class Report:
                 "symplectic_eigenvalues": arr(self.symplectic_eigenvalues),
                 "pure": self.pure,
                 "purity": self.purity,
-            },
-            "tightness": {
-                "squeezing": self.tightness_squeezing,
-                "entanglement": self.tightness_entanglement,
             },
             "margins": {
                 "physicality": self.physicality_margin,
@@ -230,29 +275,25 @@ def run_scenario(spec: ScenarioSpec) -> Report:
     (free two-mode system, optimal strategy); threshold_efficiency bisects
     it for the other entangling scenarios.
     """
-    dd, couplings, bath = build_system(spec)
-    if not stability_check(dd).stable:
-        raise UnstableSystemError(
-            f"scenario {spec.kind} is unstable (stability check failed)"
-        )
+    dd, couplings, bath = stable_system(spec)
     two_mode = spec.n_modes == 2
-    bipartition = Bipartition.last_modes(2) if two_mode else None
 
     unravelling = build_unravelling(spec, bath)
     m = measurement_matrices(couplings, unravelling, dd)
     sol = solve_riccati(dd, m)
     sigma_c = sol.sigma
+    limits = Limits.of(dd)
 
     # A report never shows a value that beats its own bound: past these
     # margins the steady state is wrong, not better than possible.
     eigs = np.linalg.eigvalsh(sigma_c)
-    sq_bound = squeezing_bound(dd)
+    sq_bound = limits.squeezing_bound
     if eigs[0] < sq_bound * (1.0 - 1e-8):
         raise ConvergenceError(
             f"achieved minimum eigenvalue {eigs[0]:.9e} beats the squeezing bound {sq_bound:.9e}"
         )
-    ent_bound = entanglement_bound(dd) if two_mode else None
-    log_neg = log_negativity(sigma_c, bipartition) if two_mode else None
+    ent_bound = limits.entanglement_bound
+    log_neg = log_negativity(sigma_c, TWO_MODE_CUT) if two_mode else None
     if two_mode and log_neg > ent_bound + 1e-8:
         raise ConvergenceError(
             f"achieved log-negativity {log_neg:.9f} beats the entanglement bound {ent_bound:.9f}"
@@ -276,27 +317,17 @@ def run_scenario(spec: ScenarioSpec) -> Report:
     )
 
     return Report(
+        **vars(limits),
         spec=spec,
-        stable=True,
-        alphas=dd.spectrum.alphas,
-        deltas=dd.spectrum.deltas,
-        squeezing_bound=sq_bound,
-        eig_product_bound=eig_product_bound(dd),
-        entanglement_bound=ent_bound,
-        pt_nu_lower_bound=pt_nu_lower_bound(dd) if two_mode else None,
         sigma_c=sigma_c,
         achieved_min_eigenvalue=float(eigs[0]),
         achieved_log_negativity=log_neg,
         achieved_pt_nu=(
-            pt_min_symplectic_eigenvalue(sigma_c, bipartition) if two_mode else None
+            pt_min_symplectic_eigenvalue(sigma_c, TWO_MODE_CUT) if two_mode else None
         ),
         symplectic_eigenvalues=nus,
         pure=bool(np.max(np.abs(nus - 1.0)) <= 1e-8),
         purity=purity(sigma_c),
-        tightness_squeezing=tightness_squeezing(dd),
-        tightness_entanglement=(
-            tightness_entanglement(dd, bipartition) if two_mode else None
-        ),
         physicality_margin=phys.margin,
         stabilising_margin=stab.margin,
         riccati_residual=sol.residual,
@@ -330,12 +361,11 @@ def threshold_efficiency(spec: ScenarioSpec, xtol: float = 1e-4) -> Optional[flo
 
     dd, couplings, bath = build_system(spec)
     base = build_unravelling(replace(spec, eta=1.0), bath)
-    bipartition = Bipartition.last_modes(2)
 
     def entangled(eta: float) -> bool:
         m = measurement_matrices(couplings, apply_efficiency(base, eta), dd)
         sigma = solve_riccati(dd, m, probe_uniqueness=False).sigma
-        unclamped = -float(np.log2(pt_min_symplectic_eigenvalue(sigma, bipartition)))
+        unclamped = -float(np.log2(pt_min_symplectic_eigenvalue(sigma, TWO_MODE_CUT)))
         return unclamped > _SEPARABLE_ROUNDING
 
     if not entangled(0.5):

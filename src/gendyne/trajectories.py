@@ -35,8 +35,11 @@ trajectory therefore jumps from record to record, r_{j+1} = P^s r_j + L_j z_j
 with L_j L_j^T = Q_j, and has exactly the distribution of the per-step
 ensemble at the recorded times (the O(dt) bias of the scheme included) for
 one normal vector per record instead of one per step. Currents need every
-increment, so record_currents=True keeps the per-step loop. The same Q_j
-give the deterministic spread of the means, tau_{j+1} = P^s tau_j P^s^T + Q_j.
+increment, so with record_currents=True the moves are the single steps,
+r_{k+1} = P r_k + G_k dw_k, with the current y_k dt = C r_k dt + dw_k written
+at each. One sampling loop runs both kinds of move; only the map, the noise
+factors and which moves end on a record differ. The same Q_j give the
+deterministic spread of the means, tau_{j+1} = P^s tau_j P^s^T + Q_j.
 
 Noise streams are counter-based: trajectory i draws from
 Philox(seed, stream=i), so ensembles are reproducible bit-for-bit and
@@ -69,6 +72,9 @@ _STEP_BLOCK = 256
 # are rounding noise and clipped to zero; Q_j itself may vanish (no
 # monitoring, or the cancelling gain at steady state).
 _FACTOR_RTOL = 1e-10
+
+# Trajectory groups behind the batch-means standard errors.
+_N_BATCHES = 16
 
 
 @dataclass(frozen=True)
@@ -248,67 +254,55 @@ def _check_finite(r: np.ndarray, start: int) -> None:
         raise FloatingPointError(f"trajectory means diverged (chunk starting at {start})")
 
 
-def _sample_records(mom: _Moments, r0: np.ndarray, cfg: TrajectoryConfig) -> np.ndarray:
-    """Means at the record times, one exact Gaussian step per record interval."""
+def _sample(
+    mom: _Moments, m: MeasurementSetup, r0: np.ndarray, cfg: TrajectoryConfig
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Means at the record times, and every current increment if recorded.
+
+    Each move is r <- r P_move + z_move F_move^T in row-vector form. Without
+    currents a move spans one record interval (P^s, F = L_j) and every move
+    ends on a record; with currents it is one Euler-Maruyama step (P,
+    F = G_k, z scaled by sqrt(dt)) and only every s-th move does.
+    """
     n_records, dim = len(mom.sample_steps), r0.shape[0]
-    n_intervals = n_records - 1
-    # Row-vector form: r_{j+1}^T = r_j^T (P^s)^T + z_j^T L_j^T.
-    prop_t = np.ascontiguousarray(mom.record_prop.T)
-    factors_t = np.ascontiguousarray(_noise_factors(mom.interval_cov).transpose(0, 2, 1))
+    # Before the current record: in the other order, repeated runs kept one
+    # more current record's worth of heap resident (allocator reuse).
     means = np.empty((cfg.n_traj, n_records, dim))
+    if cfg.record_currents:
+        n_moves, n_noise = cfg.n_steps, m.c.shape[0]
+        if cfg.n_traj * n_moves * n_noise > 2 * 10**8:
+            raise ValueError("current record would be too large; disable record_currents")
+        prop_t = np.ascontiguousarray(mom.prop.T)
+        factors_t = mom.gains.transpose(0, 2, 1)
+        record_of_move = np.full(n_moves, -1)
+        record_of_move[mom.sample_steps[1:] - 1] = np.arange(1, n_records)
+        currents = np.empty((cfg.n_traj, n_moves, n_noise))
+    else:
+        n_moves, n_noise = n_records - 1, dim
+        prop_t = np.ascontiguousarray(mom.record_prop.T)
+        factors_t = np.ascontiguousarray(_noise_factors(mom.interval_cov).transpose(0, 2, 1))
+        record_of_move = np.arange(1, n_records)
+        currents = None
     for start in range(0, cfg.n_traj, _TRAJ_CHUNK):
         stop = min(start + _TRAJ_CHUNK, cfg.n_traj)
         gens = [_trajectory_generator(cfg.seed, i) for i in range(start, stop)]
         r = np.tile(r0, (stop - start, 1))
         means[start:stop, 0] = r
-        noise = np.empty((stop - start, min(_STEP_BLOCK, n_intervals), dim))
-        for block_start in range(0, n_intervals, _STEP_BLOCK):
-            block = min(_STEP_BLOCK, n_intervals - block_start)
+        noise = np.empty((stop - start, min(_STEP_BLOCK, n_moves), n_noise))
+        for block_start in range(0, n_moves, _STEP_BLOCK):
+            block = min(_STEP_BLOCK, n_moves - block_start)
             z = noise[:, :block]
             for g, out in zip(gens, z):
                 g.standard_normal(out=out)
-            kicks = z.transpose(1, 0, 2) @ factors_t[block_start : block_start + block]
-            for j in range(block):
-                r = r @ prop_t + kicks[j]
-                means[start:stop, block_start + j + 1] = r
-        _check_finite(r, start)
-    return means
-
-
-def _sample_steps(
-    mom: _Moments, m: MeasurementSetup, r0: np.ndarray, cfg: TrajectoryConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step Euler-Maruyama loop: means at the records and every current increment."""
-    n_steps, dt, dim = cfg.n_steps, cfg.dt, r0.shape[0]
-    n_out = m.c.shape[0]
-    if cfg.n_traj * n_steps * n_out > 2 * 10**8:
-        raise ValueError("current record would be too large; disable record_currents")
-    sqrt_dt = np.sqrt(dt)
-    means = np.empty((cfg.n_traj, len(mom.sample_steps), dim))
-    currents = np.empty((cfg.n_traj, n_steps, n_out))
-    step_map = np.full(n_steps + 1, -1)
-    step_map[mom.sample_steps] = np.arange(len(mom.sample_steps))
-    prop_t = np.ascontiguousarray(mom.prop.T)
-    for start in range(0, cfg.n_traj, _TRAJ_CHUNK):
-        stop = min(start + _TRAJ_CHUNK, cfg.n_traj)
-        gens = [_trajectory_generator(cfg.seed, i) for i in range(start, stop)]
-        r = np.tile(r0, (stop - start, 1))
-        means[start:stop, 0] = r
-        noise = np.empty((stop - start, min(_STEP_BLOCK, n_steps), n_out))
-        for block_start in range(0, n_steps, _STEP_BLOCK):
-            block = min(_STEP_BLOCK, n_steps - block_start)
-            dws = noise[:, :block]
-            for g, out in zip(gens, dws):
-                g.standard_normal(out=out)
-            dws *= sqrt_dt
+            if currents is not None:
+                z *= np.sqrt(cfg.dt)
             for j in range(block):
                 k = block_start + j
-                dw = dws[:, j, :]
-                currents[start:stop, k] = r @ m.c.T * dt + dw
-                r = r @ prop_t + dw @ mom.gains[k].T
-                idx = step_map[k + 1]
-                if idx >= 0:
-                    means[start:stop, idx] = r
+                if currents is not None:
+                    currents[start:stop, k] = r @ m.c.T * cfg.dt + z[:, j]
+                r = r @ prop_t + z[:, j] @ factors_t[k]
+                if record_of_move[k] >= 0:
+                    means[start:stop, record_of_move[k]] = r
         _check_finite(r, start)
     return means, currents
 
@@ -323,10 +317,7 @@ def _simulate(
 ) -> TrajectoryRecord:
     r0 = np.asarray(r0, dtype=float).reshape(dd.a.shape[0])
     mom = _moment_kernel(dd, m, b, sigma_c0, cfg)
-    if cfg.record_currents:
-        means, currents = _sample_steps(mom, m, r0, cfg)
-    else:
-        means, currents = _sample_records(mom, r0, cfg), None
+    means, currents = _sample(mom, m, r0, cfg)
     return TrajectoryRecord(
         mom.sample_steps * cfg.dt,
         means,
@@ -392,41 +383,29 @@ class EnsembleStats(NamedTuple):
     n_samples: int
 
 
-def ensemble_statistics(
-    records: list[TrajectoryRecord] | TrajectoryRecord,
-    window: tuple[float, float],
-    n_batches: int = 16,
-) -> EnsembleStats:
+def ensemble_statistics(record: TrajectoryRecord, window: tuple[float, float]) -> EnsembleStats:
     """Stationary moments over ensemble x window, with batch-means errors.
 
-    The ensemble is split into `n_batches` groups of trajectories; the
+    The ensemble is split into _N_BATCHES groups of trajectories; the
     spread of the per-batch statistics gives the standard errors (the CM
     path is deterministic, so only the mean-fluctuation part contributes).
     """
-    if isinstance(records, TrajectoryRecord):
-        records = [records]
-    if not records:
-        raise ValueError("no records given")
     t1, t2 = window
-    base_times = records[0].times
-    for rec in records[1:]:
-        if rec.times.shape != base_times.shape or not np.allclose(rec.times, base_times):
-            raise ValueError("records must share a common sample grid")
-    mask = (base_times >= t1) & (base_times <= t2)
+    mask = (record.times >= t1) & (record.times <= t2)
     if not np.any(mask):
         raise ValueError(f"no samples inside window [{t1}, {t2}]")
 
-    pool = np.concatenate([rec.means[:, mask, :] for rec in records], axis=0)
+    pool = record.means[:, mask, :]
     n_traj, n_t, dim = pool.shape
     flat = pool.reshape(n_traj * n_t, dim)
     mean = flat.mean(axis=0)
     centred = flat - mean
     denom = max(flat.shape[0] - 1, 1)
     tau = symmetrize(centred.T @ centred / denom)
-    sigma_c = symmetrize(records[0].sigma_c_path[mask].mean(axis=0))
+    sigma_c = symmetrize(record.sigma_c_path[mask].mean(axis=0))
     sigma = sigma_c + tau
 
-    n_batches = max(1, min(n_batches, n_traj))
+    n_batches = max(1, min(_N_BATCHES, n_traj))
     batch_means = np.empty((n_batches, dim))
     batch_sigmas = np.empty((n_batches, dim, dim))
     for b, chunk in enumerate(np.array_split(np.arange(n_traj), n_batches)):

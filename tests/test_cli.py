@@ -1,6 +1,7 @@
 """Command-line interface: schemas, determinism, exit codes, round trips."""
 
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -9,7 +10,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from gendyne import ScenarioSpec, cli, run_scenario
+import gendyne
+from gendyne import ScenarioSpec, cli, run_scenario, scenarios
 from gendyne.cli import main, read_sweep_csv
 from gendyne.schemas import (
     BOUNDS_REPORT_SCHEMA,
@@ -143,6 +145,27 @@ def test_limits_need_no_steady_state(tmp_path, capsys):
             assert report[block] == unmonitored[block]
     assert main(["steady", "--config", cfg, "--out", str(tmp_path / "steady.json")]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [{"kind": "free_single", "n_th": 1.0}, {"kind": "parametric", "n_th": 1.0, "chi": 0.3}],
+)
+def test_limit_commands_build_no_monitoring(tmp_path, capsys, monkeypatch, scenario):
+    cfg = write_config(tmp_path, {"scenario": scenario})
+    unmonitored = run_scenario(ScenarioSpec(**scenario, strategy="none")).to_dict()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the limits need no monitoring or steady state")
+
+    for name in ("measurement_matrices", "solve_riccati", "lyapunov_steady_state"):
+        monkeypatch.setattr(scenarios, name, refuse)
+    for command, blocks in (("bounds", ("bounds", "tightness")), ("check-tightness", ("tightness",))):
+        assert main([command, "--config", cfg]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == {"library_version", "config", "stable", "spectral", *blocks}
+        for block in ("stable", "spectral", *blocks):
+            assert report[block] == unmonitored[block]
 
 
 def test_only_steady_bisects_the_efficiency_threshold(tmp_path):
@@ -391,10 +414,14 @@ def test_threshold_outside_upper_half(tmp_path, scenario, expected):
 
 def test_console_entry_point(tmp_path):
     cfg = write_config(tmp_path, {"scenario": {"kind": "free_single", "n_th": 1.0}})
+    # the child imports the same gendyne as this process, installed or not
+    package_root = os.path.dirname(os.path.dirname(gendyne.__file__))
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "gendyne.cli", "bounds", "--config", cfg],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
