@@ -13,14 +13,14 @@ monitored Gaussian system with those (A, D), hence for any average state
 reachable with record-proportional driving. The tightness predicates decide
 whether eigenvectors exist that allow saturation; they are evaluated as
 subspace problems so that degenerate spectra (the generic thermal case) are
-handled exactly.
+handled exactly, with no numerical search.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import subspace_angles
-from scipy.optimize import minimize
+from scipy.optimize import minimize  # noqa: F401 -- unused; perfbench/tracing.py patches it
 
 from .dynamics import DriftDiffusion, SpectralData, stability_check
 from .errors import UnstableSystemError
@@ -93,34 +93,18 @@ def tightness_squeezing(dd: DriftDiffusion) -> bool:
     return _principal_angle(e_alpha, e_delta) < TIGHTNESS_TOL
 
 
-def _tightness_residual(x: np.ndarray, q1: np.ndarray, quad_forms: list[np.ndarray]) -> float:
-    """Sum of squared quadratic-condition residuals for a candidate alpha_1 = q1 x.
-
-    The linear conditions hold on the span of q1 by construction.
-    """
-    v = q1 @ x
-    norm = np.linalg.norm(v)
-    if norm < 1e-12:
-        return 1.0
-    v = v / norm
-    total = 0.0
-    for q in quad_forms:
-        total += float(v @ q @ v) ** 2
-    return total
-
-
 def tightness_entanglement(dd: DriftDiffusion, bipartition: Bipartition) -> bool:
     """Can the entanglement limit be reached across this bipartition?
 
-    Searches the (possibly degenerate) extremal eigenspaces for vectors
-    satisfying the saturation conditions: alpha_1 and alpha_2 are the
+    Decides whether the (possibly degenerate) extremal eigenspaces hold
+    vectors satisfying the saturation conditions: alpha_1 and alpha_2 are the
     Hadamard combinations (delta_1 -+ delta_2)/sqrt(2) of extremal noise
     directions, alpha_2 = Omega^T Omega_pt Omega alpha_1, the partial
     transposition expectation <alpha_1|T|alpha_1> vanishes, and the
     underlying orthogonality constraints <alpha_1|alpha_2> = 0 and
     <alpha_2|Omega|alpha_1> = 0 hold. Both Hadamard sign choices reduce to
-    the same subspace-membership conditions. All residuals are required
-    below 1e-6.
+    the same subspace-membership conditions. These reduce to linear ones plus
+    one +-1 form, so the answer is exact (tolerance 1e-6), with no search.
     """
     spec = _require_stable(dd)
     dim = dd.a.shape[0]
@@ -144,40 +128,26 @@ def tightness_entanglement(dd: DriftDiffusion, bipartition: Bipartition) -> bool
     def proj_out(basis: np.ndarray) -> np.ndarray:
         return eye - basis @ basis.T
 
+    # W is antisymmetric, so <a1|W|a1> = 0; <W a1|Omega|a1> is a +-1 form G and
+    # (T - G)/2 projects onto the transposed x quadratures: one more linear map.
+    g = (w.T @ omega + omega.T @ w) / 2.0
     # Linear conditions on alpha_1 (alpha_2 = W alpha_1 is built in).
     linear_maps = [
         proj_out(e2) @ w,
         proj_out(ed1) @ (eye + w) / np.sqrt(2.0),
         proj_out(ed2) @ (eye - w) / np.sqrt(2.0),
-    ]
-    # Quadratic conditions: <a1|T|a1> = 0, <a1|W|a1> = 0, <W a1|Omega|a1> = 0.
-    quad_forms = [
-        (bipartition.t_matrix + bipartition.t_matrix.T) / 2.0,
-        (w + w.T) / 2.0,
-        (w.T @ omega + omega.T @ w) / 2.0,
+        (bipartition.t_matrix - g) / 2.0,
     ]
 
     # Restrict to the nullspace of the stacked linear conditions within e1.
     stacked = np.vstack([lm @ e1 for lm in linear_maps])
     _, svals, vt = np.linalg.svd(stacked, full_matrices=True)
-    keep = np.ones(e1.shape[1], dtype=bool)
-    keep[: len(svals)] = svals <= TIGHTNESS_TOL
-    nullspace = vt.T[:, keep]
-    if nullspace.shape[1] == 0:
+    q1 = e1 @ vt[svals <= TIGHTNESS_TOL].T
+    if q1.shape[1] == 0:
         return False
-    q1 = e1 @ nullspace
 
-    residual = lambda x: _tightness_residual(x, q1, quad_forms)
-
-    # Deterministic multistart: coordinate directions plus seeded random starts.
-    dim_v = q1.shape[1]
-    starts = [np.eye(dim_v)[k] for k in range(dim_v)]
-    rng = np.random.default_rng(20240811)
-    starts += [rng.standard_normal(dim_v) for _ in range(24)]
-    best = np.inf
-    for x0 in starts:
-        res = minimize(residual, x0, method="BFGS", options={"gtol": 1e-12, "maxiter": 200})
-        best = min(best, float(res.fun))
-        if best < TIGHTNESS_TOL**2:
-            return True
-    return best < TIGHTNESS_TOL**2
+    # On unit v = q1 x, <v|G|v> = 1 - 2|Q_- x|^2 with Q_- the rows of q1 where
+    # G = -1; it spans 1 - 2 [s_max^2, s_min^2], s^2 the spectrum of Q_-^T Q_-.
+    minus = q1[np.diag(g) < 0.0]
+    s2 = np.linalg.svd(minus.T @ minus, compute_uv=False)
+    return bool(1.0 - 2.0 * s2[0] <= TIGHTNESS_TOL and 1.0 - 2.0 * s2[-1] >= -TIGHTNESS_TOL)

@@ -119,8 +119,6 @@ def _sweep_grid(config: dict) -> tuple[str, list[float]]:
     if "sweep" not in config:
         raise ConfigError("sweep needs a 'sweep' section")
     sw = config["sweep"]
-    if not sw["grid"]:
-        raise ConfigError("sweep grid is empty")
     return sw["parameter"], [float(g) for g in sw["grid"]]
 
 

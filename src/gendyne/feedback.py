@@ -33,6 +33,9 @@ from .errors import ConvergenceError, NotStabilisingError, PhysicalityError
 from .linalg import max_abs, symmetrize
 from .symplectic import as_matrix, physicality_check, symplectic_form
 
+# Relative residual of 2 E^T U E = W that `unravelling_for_target` accepts.
+_TARGET_RESIDUAL_RTOL = 1e-8
+
 
 @dataclass(frozen=True)
 class FeedbackLaw:
@@ -68,7 +71,7 @@ class ClosedLoop:
 
 
 def unravelling_for_target(
-    sigma_c, dd: DriftDiffusion, couplings: CouplingOperators, residual_tol: float = 1e-8
+    sigma_c, dd: DriftDiffusion, couplings: CouplingOperators
 ) -> UnravellingMatrix:
     """Construct a monitoring choice whose conditional steady state is sigma_c.
 
@@ -102,7 +105,7 @@ def unravelling_for_target(
     u = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
 
     residual = max_abs(2.0 * e.T @ u @ e - w)
-    if residual > residual_tol * max(1.0, max_abs(w)):
+    if residual > _TARGET_RESIDUAL_RTOL * max(1.0, max_abs(w)):
         raise ConvergenceError(
             f"no PSD monitoring solution within residual tolerance "
             f"(residual {residual:.3e})"

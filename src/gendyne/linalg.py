@@ -17,6 +17,8 @@ from .errors import PhysicalityError
 
 # Relative tolerance for symmetry checks on inputs.
 SYMMETRY_RTOL = 1e-10
+# Negative eigenvalues down to this size count as rounding in `psd_sqrt`.
+PSD_SQRT_CLIP = 1e-12
 
 
 def max_abs(m: np.ndarray) -> float:
@@ -54,15 +56,15 @@ def min_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(m)[0])
 
 
-def psd_sqrt(m: np.ndarray, clip: float = 1e-12) -> np.ndarray:
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Symmetric square root of a PSD matrix.
 
-    Eigenvalues in [-clip, 0) are treated as rounding noise and clipped to
-    zero; anything more negative raises PhysicalityError.
+    Eigenvalues in [-PSD_SQRT_CLIP, 0) are treated as rounding noise and
+    clipped to zero; anything more negative raises PhysicalityError.
     """
     m = symmetrize(np.asarray(m, dtype=float))
     vals, vecs = np.linalg.eigh(m)
-    if vals[0] < -clip:
+    if vals[0] < -PSD_SQRT_CLIP:
         raise PhysicalityError(
             f"matrix is not positive semidefinite (min eigenvalue {vals[0]:.3e})"
         )

@@ -341,9 +341,11 @@ def run_scenario(spec: ScenarioSpec) -> Report:
 # Unclamped log-negativity that is rounding noise: a vacuum mode next to a
 # thermal one, never entangled at any efficiency, reads about 6e-16.
 _SEPARABLE_ROUNDING = 1e-12
+# Width of the efficiency bracket at which the threshold bisection stops.
+_THRESHOLD_XTOL = 1e-4
 
 
-def threshold_efficiency(spec: ScenarioSpec, xtol: float = 1e-4) -> Optional[float]:
+def threshold_efficiency(spec: ScenarioSpec) -> Optional[float]:
     """Efficiency below which the optimal strategy entangles nothing.
 
     Closed form (1 + 2N)/(2(1 + N)) for the free two-mode system with equal
@@ -376,7 +378,7 @@ def threshold_efficiency(spec: ScenarioSpec, xtol: float = 1e-4) -> Optional[flo
         return 0.0
     else:
         lo, hi = 0.0, 0.5
-    while hi - lo > xtol:
+    while hi - lo > _THRESHOLD_XTOL:
         mid = 0.5 * (lo + hi)
         if entangled(mid):
             hi = mid

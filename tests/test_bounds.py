@@ -1,11 +1,15 @@
 """Spectral bounds and the saturation (tightness) predicates."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+import gendyne.bounds as bounds
 from gendyne import (
     Bipartition,
     DriftDiffusion,
+    ScenarioSpec,
     ThermalBath,
     UnstableSystemError,
     eig_product_bound,
@@ -17,10 +21,12 @@ from gendyne import (
     solve_riccati,
     squeezing_bound,
     stability_check,
+    symplectic_form,
     thermal_drift_diffusion,
     tightness_entanglement,
     tightness_squeezing,
 )
+from gendyne.scenarios import Limits, stable_system
 from conftest import random_stable_thermal_system, random_valid_unravelling
 
 BP = Bipartition.last_modes(2)
@@ -32,6 +38,18 @@ def free_dd(*occ):
 
 def parametric_dd(chi, occ):
     return thermal_drift_diffusion(parametric_hamiltonian(chi), ThermalBath((occ, occ)))[0]
+
+
+def detuned_parametric_dd(chi, detuning, *occ):
+    h = parametric_hamiltonian(chi) + detuning * np.eye(4)
+    return thermal_drift_diffusion(h, ThermalBath(occ))[0]
+
+
+def beam_splitter_dd(g, *occ):
+    # g (x1 x2 + p1 p2): a passive exchange, so -(A + A^T) stays fully degenerate
+    h = np.zeros((4, 4))
+    h[0, 2] = h[2, 0] = h[1, 3] = h[3, 1] = g
+    return thermal_drift_diffusion(h, ThermalBath(occ))[0]
 
 
 def test_squeezing_bound_values():
@@ -109,6 +127,47 @@ def test_tightness_entanglement_cases():
     assert tightness_entanglement(free_dd(1.0, 1.0), BP) is True
     assert tightness_entanglement(free_dd(2.0, 1.0), BP) is False
     assert tightness_entanglement(parametric_dd(0.3, 1.0), BP) is True
+    assert tightness_entanglement(detuned_parametric_dd(0.3, 0.1, 1.0, 1.0), BP) is True
+    assert tightness_entanglement(detuned_parametric_dd(0.3, 0.1, 2.0, 1.0), BP) is False
+    assert tightness_entanglement(beam_splitter_dd(0.2, 1.0, 1.0), BP) is True
+    assert tightness_entanglement(beam_splitter_dd(0.2, 2.0, 1.0), BP) is False
+    for transposed in ({2}, {0, 1}):
+        cut = Bipartition(3, frozenset(transposed))
+        assert tightness_entanglement(free_dd(1.0, 1.0, 1.0), cut) is True
+        assert tightness_entanglement(free_dd(1.0, 1.0, 2.0), cut) is False
+
+
+def test_saturation_forms_in_quadrature_convention():
+    # the exact entanglement predicate rests on two identities of the
+    # (x1, p1, ..., xn, pn) convention: W = Omega^T Omega_pt Omega is
+    # antisymmetric, and with G = (W^T Omega + Omega^T W)/2, (T - G)/2 is the
+    # diagonal projector onto the x quadratures of the transposed modes
+    for n in range(2, 5):
+        omega = symplectic_form(n)
+        for m in range(1, n):
+            for transposed in itertools.combinations(range(n), m):
+                bp = Bipartition(n, frozenset(transposed))
+                w = omega.T @ bp.pt_form @ omega
+                g = (w.T @ omega + omega.T @ w) / 2.0
+                x_transposed = np.zeros(2 * n)
+                x_transposed[[2 * k for k in transposed]] = 1.0
+                assert np.array_equal(w.T, -w)
+                assert np.array_equal((bp.t_matrix - g) / 2.0, np.diag(x_transposed))
+
+
+def test_limits_need_no_numerical_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("tightness must not run a numerical search")
+
+    monkeypatch.setattr(bounds, "minimize", refuse)
+    specs = [
+        (ScenarioSpec("free_single", 1.0), None),
+        (ScenarioSpec("free_two_mode", 1.0), True),
+        (ScenarioSpec("free_unequal_baths", (2.0, 1.0)), False),
+        (ScenarioSpec("parametric", 1.0, chi=0.3), True),
+    ]
+    for spec, tight in specs:
+        assert Limits.of(stable_system(spec)[0]).tightness_entanglement is tight
 
 
 def test_tightness_entanglement_other_side_transposed():
