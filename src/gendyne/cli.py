@@ -21,6 +21,7 @@ import io
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
@@ -306,8 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call, not at import; parse_args keeps no state.
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = _resolve_config(load_config(args.config), getattr(args, "seed", None))
         if args.command == "bounds":

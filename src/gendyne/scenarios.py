@@ -272,17 +272,33 @@ def run_scenario(spec: ScenarioSpec) -> Report:
     """Assemble system, monitoring, bounds, steady state and verification.
 
     The efficiency threshold is filled in only where it has a closed form
-    (free two-mode system, optimal strategy); threshold_efficiency bisects
-    it for the other entangling scenarios.
+    (free two-mode system, optimal strategy); threshold_efficiency searches
+    for it in the other entangling scenarios.
     """
+    return _report(spec, *_system_limits(spec))
+
+
+def _system_limits(
+    spec: ScenarioSpec,
+) -> tuple[DriftDiffusion, CouplingOperators, ThermalBath, Limits]:
     dd, couplings, bath = stable_system(spec)
+    return dd, couplings, bath, Limits.of(dd)
+
+
+def _report(
+    spec: ScenarioSpec,
+    dd: DriftDiffusion,
+    couplings: CouplingOperators,
+    bath: ThermalBath,
+    limits: Limits,
+) -> Report:
+    """run_scenario on a stable system whose limits are already known."""
     two_mode = spec.n_modes == 2
 
     unravelling = build_unravelling(spec, bath)
     m = measurement_matrices(couplings, unravelling, dd)
     sol = solve_riccati(dd, m)
     sigma_c = sol.sigma
-    limits = Limits.of(dd)
 
     # A report never shows a value that beats its own bound: past these
     # margins the steady state is wrong, not better than possible.
@@ -341,50 +357,54 @@ def run_scenario(spec: ScenarioSpec) -> Report:
 # Unclamped log-negativity that is rounding noise: a vacuum mode next to a
 # thermal one, never entangled at any efficiency, reads about 6e-16.
 _SEPARABLE_ROUNDING = 1e-12
-# Width of the efficiency bracket at which the threshold bisection stops.
-_THRESHOLD_XTOL = 1e-4
+# The same cut on nu_pt, so that the bracket tests and the root agree in sign.
+_SEPARABLE_NU = 2.0 ** -_SEPARABLE_ROUNDING
+# Absolute tolerance on eta at which Brent's method stops.
+_THRESHOLD_XTOL = 1e-5
 
 
 def threshold_efficiency(spec: ScenarioSpec) -> Optional[float]:
     """Efficiency below which the optimal strategy entangles nothing.
 
     Closed form (1 + 2N)/(2(1 + N)) for the free two-mode system with equal
-    baths; otherwise the zero of the unclamped log-negativity
-    -log2(nu_pt(eta)), located by bisection on [1/2, 1], or on [0, 1/2] when
-    the loop is already entangled at eta = 1/2 (low occupations). Returns
-    0.0 when even the unmonitored state (eta = 0) is entangled, and None when
-    not even perfect detection (eta = 1) entangles.
+    baths; otherwise the zero of the unclamped log-negativity -log2 nu_pt(eta),
+    located by Brent's method on the smooth linear margin 1 - nu_pt(eta) on
+    [1/2, 1], or on [0, 1/2] when the loop is already entangled at eta = 1/2
+    (low occupations). Returns 0.0 when even the unmonitored state
+    (eta = 0) is entangled, and None when not even perfect detection
+    (eta = 1) entangles.
     """
     if spec.strategy != "optimal" or spec.n_modes != 2:
         raise ValueError("efficiency threshold applies to optimal entangling scenarios")
     if spec.kind == "free_two_mode":
         occ = spec.n_th
         return (1.0 + 2.0 * occ) / (2.0 * (1.0 + occ))
+    # Imported on use, so that importing this module does no more work than
+    # before (gendyne.bounds has already loaded scipy.optimize).
+    from scipy.optimize import brentq
 
     dd, couplings, bath = build_system(spec)
     base = build_unravelling(replace(spec, eta=1.0), bath)
+    margins: dict[float, float] = {}
 
-    def entangled(eta: float) -> bool:
-        m = measurement_matrices(couplings, apply_efficiency(base, eta), dd)
-        sigma = solve_riccati(dd, m, probe_uniqueness=False).sigma
-        unclamped = -float(np.log2(pt_min_symplectic_eigenvalue(sigma, TWO_MODE_CUT)))
-        return unclamped > _SEPARABLE_ROUNDING
+    def margin(eta: float) -> float:
+        # Positive exactly where the loop is entangled beyond rounding noise;
+        # memoised so that Brent's method does not solve the bracket again.
+        if eta not in margins:
+            m = measurement_matrices(couplings, apply_efficiency(base, eta), dd)
+            sigma = solve_riccati(dd, m, probe_uniqueness=False).sigma
+            margins[eta] = _SEPARABLE_NU - pt_min_symplectic_eigenvalue(sigma, TWO_MODE_CUT)
+        return margins[eta]
 
-    if not entangled(0.5):
-        if not entangled(1.0):
+    if margin(0.5) <= 0.0:
+        if margin(1.0) <= 0.0:
             return None
         lo, hi = 0.5, 1.0
-    elif entangled(0.0):
+    elif margin(0.0) > 0.0:
         return 0.0
     else:
         lo, hi = 0.0, 0.5
-    while hi - lo > _THRESHOLD_XTOL:
-        mid = 0.5 * (lo + hi)
-        if entangled(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return float(brentq(margin, lo, hi, xtol=_THRESHOLD_XTOL))
 
 
 def threshold_coupling(occupation: float) -> float:
@@ -400,6 +420,9 @@ def sweep(spec: ScenarioSpec, parameter: str, grid) -> list[Report]:
     if not grid:
         raise ValueError("empty sweep grid")
     reports = []
+    # (A, D) depend on N and chi only: an eta sweep builds one system and one
+    # Limits for all its rows.
+    systems = {}
     for value in grid:
         if parameter == "N":
             row_spec = replace(spec, n_th=value)
@@ -409,5 +432,8 @@ def sweep(spec: ScenarioSpec, parameter: str, grid) -> list[Report]:
             row_spec = replace(spec, chi=value)
         else:
             raise ValueError(f"unknown sweep parameter {parameter!r}")
-        reports.append(run_scenario(row_spec))
+        key = (row_spec.n_th, row_spec.chi)
+        if key not in systems:
+            systems[key] = _system_limits(row_spec)
+        reports.append(_report(row_spec, *systems[key]))
     return reports

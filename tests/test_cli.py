@@ -342,6 +342,37 @@ def test_simulate_deterministic_and_valid(tmp_path):
     assert out1.read_bytes() != out3.read_bytes()
 
 
+def test_parser_built_once_and_stateless(tmp_path, monkeypatch, capsys):
+    cli._parser.cache_clear()
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    try:
+        obj = simulate_config(seed=5)
+        obj["trajectories"].update(horizon=1.0, n_traj=4, dt=0.01, record_stride=10)
+        cfg = write_config(tmp_path, obj)
+        for command in ("bounds", "check-tightness"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+        for argv in (["nonsense", "--config", cfg], ["steady"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.strip() == gendyne.__version__
+
+        seeds = []
+        for extra in (["--seed", "777"], []):
+            out = tmp_path / "sim.json"
+            assert main(["simulate", "--config", cfg, "--out", str(out), *extra]) == 0
+            seeds.append(json.loads(out.read_text())["config"]["trajectories"]["seed"])
+        assert seeds == [777, 5]
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
 def test_simulate_bad_dt_exits_2(tmp_path, capsys):
     obj = simulate_config()
     obj["trajectories"]["dt"] = -1.0

@@ -1,5 +1,7 @@
 """Named scenarios, thresholds and sweeps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -119,9 +121,85 @@ def test_threshold_efficiency_closed_form():
         threshold_efficiency(ScenarioSpec("free_two_mode", 1.0, "homodyne"))
 
 
-def test_threshold_efficiency_parametric_bisection():
+def test_threshold_efficiency_parametric():
     spec = ScenarioSpec("parametric", 1.0, "optimal", chi=0.3)
     assert threshold_efficiency(spec) == pytest.approx(0.80, abs=0.01)
+
+
+def bisected_threshold(spec, xtol=1e-6):
+    """Reference: plain bisection on the sign of the reported log-negativity."""
+
+    def entangled(eta):
+        nu = run_scenario(replace(spec, eta=eta)).achieved_pt_nu
+        return -np.log2(nu) > 1e-12
+
+    if not entangled(0.5):
+        if not entangled(1.0):
+            return None
+        lo, hi = 0.5, 1.0
+    elif entangled(0.0):
+        return 0.0
+    else:
+        lo, hi = 0.0, 0.5
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if entangled(mid) else (mid, hi)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ScenarioSpec("parametric", n, chi=chi) for n in (0.5, 1.0, 3.0, 8.0) for chi in (0.15, 0.3, 0.45)]
+    + [
+        ScenarioSpec("free_unequal_baths", pair)
+        for pair in ((0.2, 0.7), (1.0, 3.0), (0.5, 0.5), (2.5, 10.0), (5.0, 0.3))
+    ],
+    ids=str,
+)
+def test_threshold_efficiency_matches_bisection(spec):
+    reference = bisected_threshold(spec)
+    assert reference is not None and 0.5 < reference < 1.0
+    assert threshold_efficiency(spec) == pytest.approx(reference, abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        (ScenarioSpec("parametric", 1.0, chi=0.3), lambda eta: 0.5 < eta < 1.0),
+        (ScenarioSpec("parametric", 0.2, chi=0.1), lambda eta: eta == pytest.approx(0.368, abs=1e-3)),
+        (ScenarioSpec("parametric", 0.0, chi=0.3), lambda eta: eta == 0.0),
+        (ScenarioSpec("free_unequal_baths", (0.0, 1.0)), lambda eta: eta is None),
+    ],
+    ids=["upper-half", "lower-half", "unmonitored-entangled", "never-entangled"],
+)
+def test_threshold_efficiency_branches(spec, expected):
+    eta = threshold_efficiency(spec)
+    assert expected(eta)
+    reference = bisected_threshold(spec)
+    if eta is None or eta == 0.0:
+        assert eta == reference
+    else:
+        assert eta == pytest.approx(reference, abs=1e-4)
+
+
+def count_solves(monkeypatch):
+    calls = []
+    solve = scenarios.solve_riccati
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "solve_riccati", counted)
+    return calls
+
+
+@pytest.mark.parametrize("occupation", [1.0, 2.5, 10.0])
+def test_threshold_efficiency_solve_count(monkeypatch, occupation):
+    # acceptance criterion 6 configurations; bisection to 1e-4 takes 15
+    calls = count_solves(monkeypatch)
+    threshold_efficiency(ScenarioSpec("parametric", occupation, chi=0.3))
+    assert len(calls) <= 10
 
 
 def test_threshold_coupling():
@@ -200,3 +278,22 @@ def test_sweep_rejects_bad_parameter():
         sweep(ScenarioSpec("free_single", 1.0), "kappa", [1.0])
     with pytest.raises(ValueError):
         sweep(ScenarioSpec("free_single", 1.0), "N", [])
+
+
+@pytest.mark.parametrize(
+    "parameter, field, grid, systems",
+    [
+        ("eta", "eta", [0.3, 0.6, 0.9, 1.0], 1),
+        ("N", "n_th", [0.5, 1.0, 3.0], 3),
+        ("chi", "chi", [0.1, 0.3, 0.1], 2),
+    ],
+)
+def test_sweep_builds_one_limits_per_system(monkeypatch, parameter, field, grid, systems):
+    spec = ScenarioSpec("parametric", 1.0, chi=0.3)
+    expected = [run_scenario(replace(spec, **{field: value})) for value in grid]
+    built = []
+    of = scenarios.Limits.of
+    monkeypatch.setattr(scenarios.Limits, "of", lambda dd: built.append(dd) or of(dd))
+    reports = sweep(spec, parameter, grid)
+    assert len(built) == systems
+    assert [r.to_dict() for r in reports] == [r.to_dict() for r in expected]
