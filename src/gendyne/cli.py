@@ -36,6 +36,7 @@ from .scenarios import (
     Limits,
     Report,
     ScenarioSpec,
+    UnstablePoint,
     build_unravelling,
     run_scenario,
     stable_system,
@@ -181,10 +182,13 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def sweep_rows(parameter: str, grid: list[float], reports: list[Report]) -> list[dict]:
+def sweep_rows(
+    parameter: str, grid: list[float], reports: list[Report | UnstablePoint]
+) -> list[dict]:
+    # An UnstablePoint has only `stable` (false); its other cells stay empty.
     return [
         {"parameter": parameter, "value": value}
-        | {col: getattr(report, col) for col in SWEEP_COLUMNS[2:]}
+        | {col: getattr(report, col, None) for col in SWEEP_COLUMNS[2:]}
         for value, report in zip(grid, reports)
     ]
 

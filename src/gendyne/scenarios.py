@@ -130,6 +130,16 @@ class ScenarioSpec:
     def n_modes(self) -> int:
         return len(self.occupations)
 
+    def to_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "n_th": list(self.n_th) if self.kind == "free_unequal_baths" else self.n_th,
+            "strategy": self.strategy,
+            "chi": self.chi,
+            "eta": self.eta,
+            "phi": self.phi,
+        }
+
 
 def build_system(spec: ScenarioSpec) -> tuple[DriftDiffusion, CouplingOperators, ThermalBath]:
     bath = ThermalBath(spec.occupations)
@@ -237,14 +247,7 @@ class Report(Limits):
             return np.asarray(x).tolist()
 
         return {
-            "scenario": {
-                "kind": self.spec.kind,
-                "n_th": arr(self.spec.n_th) if self.spec.kind == "free_unequal_baths" else self.spec.n_th,
-                "strategy": self.spec.strategy,
-                "chi": self.spec.chi,
-                "eta": self.spec.eta,
-                "phi": self.spec.phi,
-            },
+            "scenario": self.spec.to_dict(),
             **super().to_dict(),
             "sigma_c": arr(self.sigma_c),
             "achieved": {
@@ -379,8 +382,8 @@ def threshold_efficiency(spec: ScenarioSpec) -> Optional[float]:
     if spec.kind == "free_two_mode":
         occ = spec.n_th
         return (1.0 + 2.0 * occ) / (2.0 * (1.0 + occ))
-    # Imported on use, so that importing this module does no more work than
-    # before (gendyne.bounds has already loaded scipy.optimize).
+    # Imported here, on first use: only this search needs scipy.optimize,
+    # and loading it at import would cost every process that never gets here.
     from scipy.optimize import brentq
 
     dd, couplings, bath = build_system(spec)
@@ -414,8 +417,23 @@ def threshold_coupling(occupation: float) -> float:
     return occupation / (1.0 + 2.0 * occupation)
 
 
-def sweep(spec: ScenarioSpec, parameter: str, grid) -> list[Report]:
-    """One report per grid value of `parameter` (N, eta or chi), in order."""
+@dataclass(frozen=True)
+class UnstablePoint:
+    """A sweep point whose drift admits no steady state: a row with no results."""
+
+    stable = False
+    spec: ScenarioSpec
+
+    def to_dict(self) -> dict:
+        return {"scenario": self.spec.to_dict(), "stable": self.stable}
+
+
+def sweep(spec: ScenarioSpec, parameter: str, grid) -> list[Report | UnstablePoint]:
+    """One report per grid value of `parameter` (N, eta or chi), in order.
+
+    A point where the system is unstable gives an UnstablePoint rather than
+    ending the sweep; every other failure of a row still raises.
+    """
     grid = [float(g) for g in grid]
     if not grid:
         raise ValueError("empty sweep grid")
@@ -434,6 +452,10 @@ def sweep(spec: ScenarioSpec, parameter: str, grid) -> list[Report]:
             raise ValueError(f"unknown sweep parameter {parameter!r}")
         key = (row_spec.n_th, row_spec.chi)
         if key not in systems:
-            systems[key] = _system_limits(row_spec)
-        reports.append(_report(row_spec, *systems[key]))
+            try:
+                systems[key] = _system_limits(row_spec)
+            except UnstableSystemError:
+                systems[key] = None
+        system = systems[key]
+        reports.append(UnstablePoint(row_spec) if system is None else _report(row_spec, *system))
     return reports

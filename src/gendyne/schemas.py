@@ -195,13 +195,21 @@ STEADY_REPORT_SCHEMA = {
     "properties": {**_PROVENANCE, **_STEADY_BODY["properties"]},
 }
 
+# A sweep row at a point whose drift admits no steady state.
+_UNSTABLE_ROW = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["scenario", "stable"],
+    "properties": {"scenario": {"type": "object"}, "stable": {"const": False}},
+}
+
 SWEEP_REPORT_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "required": ["library_version", "config", "rows"],
     "properties": {
         **_PROVENANCE,
-        "rows": {"type": "array", "minItems": 1, "items": _STEADY_BODY},
+        "rows": {"type": "array", "minItems": 1, "items": {"anyOf": [_STEADY_BODY, _UNSTABLE_ROW]}},
     },
 }
 

@@ -313,6 +313,75 @@ def test_sweep_json_is_schema_validated(tmp_path, monkeypatch):
         validate_report(payload, SWEEP_REPORT_SCHEMA)
 
 
+UNSTABLE_POINT_SWEEP = {
+    "scenario": {"kind": "parametric", "n_th": 1.0, "chi": 0.1},
+    "sweep": {"parameter": "chi", "grid": [0.1, 0.3, 0.5]},
+}
+
+
+def test_sweep_reports_unstable_point(tmp_path, capsys):
+    cfg = write_config(tmp_path, UNSTABLE_POINT_SWEEP)
+    table = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(table)]) == 0
+    rows = read_sweep_csv(table.read_text())
+    assert [row["stable"] for row in rows] == [True, True, False]
+    assert rows[2] == dict.fromkeys(SWEEP_COLUMNS) | {
+        "parameter": "chi",
+        "value": 0.5,
+        "stable": False,
+    }
+    assert all(v is not None for k, v in rows[1].items() if k != "threshold_eta")
+
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    payload = json.loads(out.read_text())
+    validate_report(payload, SWEEP_REPORT_SCHEMA)
+    spec = ScenarioSpec("parametric", 1.0, chi=0.5)
+    assert payload["rows"][2] == {"scenario": spec.to_dict(), "stable": False}
+    assert payload["rows"][1]["stable"] is True
+    # an unstable row carries nothing beyond its scenario
+    payload["rows"][2]["sigma_c"] = [[1.0]]
+    with pytest.raises(jsonschema.ValidationError):
+        validate_report(payload, SWEEP_REPORT_SCHEMA)
+    assert capsys.readouterr().err == ""
+
+
+def test_sweep_row_failure_still_aborts(tmp_path, capsys, monkeypatch):
+    # only an unstable system is a data point; a numerical failure is not
+    def fail(*args, **kwargs):
+        raise gendyne.ConvergenceError("no convergence")
+
+    monkeypatch.setattr(scenarios, "solve_riccati", fail)
+    cfg = write_config(tmp_path, UNSTABLE_POINT_SWEEP)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 3
+    assert "numerical failure: no convergence" in capsys.readouterr().err
+
+
+def test_stable_sweep_output_unchanged(tmp_path, capsys):
+    # every number here is exact; the table is the one printed before unstable
+    # points became rows
+    cfg = write_config(
+        tmp_path,
+        {
+            "scenario": {"kind": "free_two_mode", "n_th": 1.0, "strategy": "none"},
+            "sweep": {"parameter": "N", "grid": [0.5, 1.0, 2.0]},
+        },
+    )
+    assert main(["sweep", "--config", cfg]) == 0
+    assert capsys.readouterr().out == (
+        ",".join(SWEEP_COLUMNS) + "\n"
+        "N,5.00000000000e-01,true,5.00000000000e-01,2.00000000000e+00,1.00000000000e+00,"
+        "0.00000000000e+00,true,true,false,2.50000000000e-01,0.00000000000e+00,"
+        "0.00000000000e+00,,\n"
+        "N,1.00000000000e+00,true,3.33333333333e-01,3.00000000000e+00,1.58496250072e+00,"
+        "0.00000000000e+00,true,true,false,1.11111111111e-01,0.00000000000e+00,"
+        "0.00000000000e+00,,\n"
+        "N,2.00000000000e+00,true,2.00000000000e-01,5.00000000000e+00,2.32192809489e+00,"
+        "0.00000000000e+00,true,true,false,4.00000000000e-02,0.00000000000e+00,"
+        "0.00000000000e+00,,\n"
+    )
+
+
 def simulate_config(seed=12345):
     return {
         "scenario": {"kind": "free_single", "n_th": 1.0, "strategy": "optimal"},
@@ -443,17 +512,67 @@ def test_threshold_outside_upper_half(tmp_path, scenario, expected):
     assert expected(json.loads(out.read_text())["thresholds"]["eta"])
 
 
-def test_console_entry_point(tmp_path):
-    cfg = write_config(tmp_path, {"scenario": {"kind": "free_single", "n_th": 1.0}})
-    # the child imports the same gendyne as this process, installed or not
+def run_child(*args):
+    """Run a fresh interpreter that imports the same gendyne as this process."""
     package_root = os.path.dirname(os.path.dirname(gendyne.__file__))
     pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gendyne.cli", "bounds", "--config", cfg],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": pythonpath},
     )
+
+
+def test_console_entry_point(tmp_path):
+    cfg = write_config(tmp_path, {"scenario": {"kind": "free_single", "n_th": 1.0}})
+    proc = run_child("-m", "gendyne.cli", "bounds", "--config", cfg)
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["stable"] is True
+
+
+_IMPORT_PATH_SCRIPT = """
+import contextlib, io, json, sys
+
+import gendyne
+import gendyne.cli as cli
+
+def run(*args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(args))
+    assert code == 0, (args, code)
+    return out.getvalue()
+
+limits, eta_sweep, simulate = sys.argv[1:]
+assert "scipy.optimize" not in sys.modules, "import"
+for args in (
+    ("bounds", "--config", limits),
+    ("check-tightness", "--config", limits),
+    ("sweep", "--config", eta_sweep),
+    ("simulate", "--config", simulate),
+):
+    run(*args)
+    assert "scipy.optimize" not in sys.modules, args[0]
+print(json.loads(run("steady", "--config", limits))["thresholds"]["eta"])
+"""
+
+
+def test_only_the_threshold_search_loads_scipy_optimize(tmp_path):
+    # scipy.optimize costs every process that imports it; only steady's
+    # Brent search on an entangling optimal kind needs it
+    scenario = {"kind": "parametric", "n_th": 1.0, "chi": 0.3, "strategy": "optimal"}
+    limits = write_config(tmp_path, {"scenario": scenario}, "limits.json")
+    eta_sweep = write_config(
+        tmp_path,
+        {"scenario": scenario, "sweep": {"parameter": "eta", "grid": [0.9, 1.0]}},
+        "sweep.json",
+    )
+    trajectories = {"dt": 1e-2, "horizon": 1.0, "n_traj": 4, "seed": 3}
+    simulate = write_config(
+        tmp_path, {"scenario": scenario, "trajectories": trajectories}, "simulate.json"
+    )
+    proc = run_child("-c", _IMPORT_PATH_SCRIPT, limits, eta_sweep, simulate)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) == pytest.approx(0.80, abs=0.01)

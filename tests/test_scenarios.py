@@ -248,6 +248,14 @@ def test_chi_sweep_homodyne_zero_until_threshold():
         assert (report.achieved_log_negativity > 1e-10) == (chi > 1.0 / 3.0 + 1e-12)
 
 
+def test_sweep_marks_unstable_points():
+    spec = ScenarioSpec("parametric", 1.0, "homodyne", chi=0.1)
+    reports = sweep(spec, "chi", [0.6, 0.2, 0.5])
+    assert reports[0] == scenarios.UnstablePoint(replace(spec, chi=0.6))
+    assert reports[2] == scenarios.UnstablePoint(replace(spec, chi=0.5))
+    assert reports[1].to_dict() == run_scenario(replace(spec, chi=0.2)).to_dict()
+
+
 def test_monotonicity_contrast_in_occupation():
     # optimal strategy improves with thermal occupation, homodyne degrades
     grid = np.linspace(0.0, 5.0, 6)
