@@ -258,7 +258,8 @@ def cmd_simulate(config: dict, out: Optional[str]) -> None:
     sigma_lyap = lyapunov_steady_state(dd).matrix
     # Unmonitored, the gain is zero and sigma_c is the Lyapunov state.
     predicted = solve_riccati(dd, m, probe_uniqueness=False).sigma
-    record = simulate_closed_loop(dd, m, feedback_gain(predicted, m), cfg, sigma_c0=sigma_lyap)
+    fb = feedback_gain(predicted, m)
+    record = simulate_closed_loop(dd, m, fb, cfg, sigma_c0=sigma_lyap, sigma_inf=predicted)
     stats = ensemble_statistics(record, (burn_in, cfg.horizon))
 
     deviation = np.abs(stats.sigma - predicted)

@@ -41,17 +41,20 @@ at each. One sampling loop runs both kinds of move; only the map, the noise
 factors and which moves end on a record differ. The same Q_j give the
 deterministic spread of the means, tau_{j+1} = P^s tau_j P^s^T + Q_j.
 
-Noise streams are counter-based: trajectory i draws from
-Philox(seed, stream=i), so ensembles are reproducible bit-for-bit and
-independent of execution order or chunking.
+Noise streams are counter-based: trajectory i draws from Philox keyed by
+SeedSequence(entropy=seed, spawn_key=(i,)), so ensembles are reproducible
+bit-for-bit and independent of execution order or chunking. The keys of a
+chunk of trajectories come from one vectorised pass of that hash.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.linalg import expm
 
 from .conditioning import MeasurementSetup, solve_riccati
@@ -64,9 +67,13 @@ from .symplectic import as_matrix
 # processed in chunks, noise is drawn per chunk in blocks of time steps
 # (records, on the record-time path). Each trajectory's stream is consumed
 # in the same order whatever the block size, so the block only bounds the
-# noise buffer.
+# noise and work buffers.
 _TRAJ_CHUNK = 1024
 _STEP_BLOCK = 256
+
+# Constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 
 # Eigenvalues of an interval covariance Q_j down to -_FACTOR_RTOL * ||Q_j||
 # are rounding noise and clipped to zero; Q_j itself may vanish (no
@@ -93,8 +100,8 @@ class TrajectoryConfig:
             raise ValueError("dt must be positive")
         if self.horizon < self.dt:
             raise ValueError("horizon must cover at least one step")
-        if self.n_traj < 1:
-            raise ValueError("need at least one trajectory")
+        if not 1 <= self.n_traj < 2**32:
+            raise ValueError("n_traj must be at least 1 and below 2**32")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
         if not 0 <= int(self.seed) < 2**64:
@@ -138,24 +145,64 @@ def default_burn_in(dd: DriftDiffusion) -> float:
     return 10.0 / float(stability.alphas[0])
 
 
-def _trajectory_generator(seed: int, index: int) -> np.random.Generator:
-    """Counter-based stream for one trajectory, independent of all others."""
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),)))
-    )
+class _PhiloxKey(ISeedSequence):
+    """Hands a precomputed key to Philox in place of a SeedSequence."""
+
+    def __init__(self, key: np.ndarray) -> None:
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
+def _trajectory_generators(seed: int, start: int, stop: int) -> list[np.random.Generator]:
+    """Streams of trajectories start..stop-1, each independent of all others.
+
+    Trajectory i draws from Philox(SeedSequence(entropy=seed, spawn_key=(i,))).
+    Its key, that sequence's generate_state(2, uint64), is computed for the
+    whole range at once with numpy's SeedSequence hash on uint32 arrays: a
+    four-word pool fed the seed words, padded with zeros, then the index.
+    """
+    seed, index = int(seed), np.arange(start, stop, dtype=np.uint32)
+    entropy = [seed & _MASK32, seed >> 32, 0, 0] if seed >> 32 else [seed, 0, 0, 0]
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray, mult: int = _MULT_A) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ value >> 16
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return value ^ value >> 16
+
+    pool = [hashmix(np.full(len(index), word, dtype=np.uint32)) for word in entropy]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for dst in range(4):
+        pool[dst] = mix(pool[dst], hashmix(index))
+    hash_const = _INIT_B
+    lo0, hi0, lo1, hi1 = (hashmix(value, _MULT_B).astype(np.uint64) for value in pool)
+    keys = np.stack([lo0 | hi0 << np.uint64(32), lo1 | hi1 << np.uint64(32)], axis=1)
+    return [np.random.Generator(np.random.Philox(_PhiloxKey(key))) for key in keys]
 
 
 def _sigma_path(
-    dd: DriftDiffusion, m: MeasurementSetup, sigma0: np.ndarray, n_steps: int, dt: float
+    dd: DriftDiffusion, m: MeasurementSetup, sigma0: np.ndarray, n_steps: int, dt: float,
+    sigma_inf: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Closed-form conditional CM on the full step grid (n_steps+1 entries).
 
     E_k = exp(F dt)^k is built by doubling (expm, not eig: F may be
     defective); every step then takes one batched solve,
-    Delta_0 (1 + W_k Delta_0)^-1 = (1 + Delta_0 W_k)^-1 Delta_0.
+    Delta_0 (1 + W_k Delta_0)^-1 = (1 + Delta_0 W_k)^-1 Delta_0. sigma_inf,
+    the stabilising conditional steady state, is solved for when not given.
     """
     dim = sigma0.shape[0]
-    sigma_inf = solve_riccati(dd, m, probe_uniqueness=False).sigma
+    if sigma_inf is None:
+        sigma_inf = solve_riccati(dd, m, probe_uniqueness=False).sigma
     ctc = m.c.T @ m.c
     f = dd.a - m.gamma.T @ m.c - sigma_inf @ ctc
     w_inf = lyapunov_solve(f.T, ctc)
@@ -202,11 +249,12 @@ def _moment_kernel(
     b: Optional[np.ndarray],
     sigma_c0,
     cfg: TrajectoryConfig,
+    sigma_inf: Optional[np.ndarray] = None,
 ) -> _Moments:
     """CM path, gains and per-interval moments of the Euler-Maruyama scheme."""
     dim = dd.a.shape[0]
     n_steps, dt, stride = cfg.n_steps, cfg.dt, cfg.record_stride
-    sigma_path = _sigma_path(dd, m, symmetrize(as_matrix(sigma_c0)), n_steps, dt)
+    sigma_path = _sigma_path(dd, m, symmetrize(as_matrix(sigma_c0)), n_steps, dt, sigma_inf)
     # Noise gains per step (left-point rule): sigma_c C^T + Gamma^T (+ B).
     gains = sigma_path[:-1] @ m.c.T + m.gamma.T
     drift = dd.a if b is None else dd.a + b @ m.c
@@ -249,11 +297,6 @@ def _noise_factors(q: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]
 
 
-def _check_finite(r: np.ndarray, start: int) -> None:
-    if not np.all(np.isfinite(r)):
-        raise FloatingPointError(f"trajectory means diverged (chunk starting at {start})")
-
-
 def _sample(
     mom: _Moments, m: MeasurementSetup, r0: np.ndarray, cfg: TrajectoryConfig
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
@@ -263,68 +306,75 @@ def _sample(
     currents a move spans one record interval (P^s, F = L_j) and every move
     ends on a record; with currents it is one Euler-Maruyama step (P,
     F = G_k, z scaled by sqrt(dt)) and only every s-th move does.
+
+    Per block of moves one stacked matmul gives every u_j = z_j F_j^T, and
+    the loop makes one matmul and one add per move into time-major states,
+    copied to the records after it. With currents the normals are drawn into
+    the current record, scaled by sqrt(dt) there; C r dt is added after it.
     """
     n_records, dim = len(mom.sample_steps), r0.shape[0]
     # Before the current record: in the other order, repeated runs kept one
     # more current record's worth of heap resident (allocator reuse).
     means = np.empty((cfg.n_traj, n_records, dim))
     if cfg.record_currents:
-        n_moves, n_noise = cfg.n_steps, m.c.shape[0]
+        n_moves, n_noise, stride = cfg.n_steps, m.c.shape[0], cfg.record_stride
         if cfg.n_traj * n_moves * n_noise > 2 * 10**8:
             raise ValueError("current record would be too large; disable record_currents")
         prop_t = np.ascontiguousarray(mom.prop.T)
         factors_t = mom.gains.transpose(0, 2, 1)
-        record_of_move = np.full(n_moves, -1)
-        record_of_move[mom.sample_steps[1:] - 1] = np.arange(1, n_records)
         currents = np.empty((cfg.n_traj, n_moves, n_noise))
     else:
-        n_moves, n_noise = n_records - 1, dim
+        n_moves, n_noise, stride = n_records - 1, dim, 1
         prop_t = np.ascontiguousarray(mom.record_prop.T)
         factors_t = np.ascontiguousarray(_noise_factors(mom.interval_cov).transpose(0, 2, 1))
-        record_of_move = np.arange(1, n_records)
         currents = None
+    width = min(_STEP_BLOCK, n_moves)
     for start in range(0, cfg.n_traj, _TRAJ_CHUNK):
         stop = min(start + _TRAJ_CHUNK, cfg.n_traj)
-        gens = [_trajectory_generator(cfg.seed, i) for i in range(start, stop)]
-        r = np.tile(r0, (stop - start, 1))
-        means[start:stop, 0] = r
-        noise = np.empty((stop - start, min(_STEP_BLOCK, n_moves), n_noise))
+        gens = _trajectory_generators(cfg.seed, start, stop)
+        states = np.empty((width + 1, stop - start, dim))
+        means[start:stop, 0] = states[0] = r0
+        u = np.empty((width, stop - start, dim))
+        if currents is None:
+            noise = np.empty((stop - start, width, n_noise))
+        else:
+            c_r = np.empty((width, stop - start, n_noise))
         for block_start in range(0, n_moves, _STEP_BLOCK):
             block = min(_STEP_BLOCK, n_moves - block_start)
-            z = noise[:, :block]
+            moves = slice(block_start, block_start + block)
+            z = noise[:, :block] if currents is None else currents[start:stop, moves]
             for g, out in zip(gens, z):
                 g.standard_normal(out=out)
             if currents is not None:
                 z *= np.sqrt(cfg.dt)
+            np.matmul(z.transpose(1, 0, 2), factors_t[moves], out=u[:block])
             for j in range(block):
-                k = block_start + j
-                if currents is not None:
-                    currents[start:stop, k] = r @ m.c.T * cfg.dt + z[:, j]
-                r = r @ prop_t + z[:, j] @ factors_t[k]
-                if record_of_move[k] >= 0:
-                    means[start:stop, record_of_move[k]] = r
-        _check_finite(r, start)
+                np.matmul(states[j], prop_t, out=states[j + 1])
+                states[j + 1] += u[j]
+            # Move k ends on record (k + 1) / stride when stride divides k + 1.
+            first, last = block_start // stride + 1, (block_start + block) // stride + 1
+            recorded = states[first * stride - block_start : block + 1 : stride]
+            means[start:stop, first:last] = recorded.transpose(1, 0, 2)
+            if currents is not None:
+                np.matmul(states[:block], m.c.T, out=c_r[:block])
+                c_r[:block] *= cfg.dt
+                z_t = z.transpose(1, 0, 2)
+                z_t += c_r[:block]
+            states[0] = states[block]
+        if not np.all(np.isfinite(states[0])):
+            raise FloatingPointError(f"trajectory means diverged (chunk starting at {start})")
     return means, currents
 
 
 def _simulate(
-    dd: DriftDiffusion,
-    m: MeasurementSetup,
-    b: Optional[np.ndarray],
-    sigma_c0,
-    r0,
-    cfg: TrajectoryConfig,
+    dd: DriftDiffusion, m: MeasurementSetup, b: Optional[np.ndarray], sigma_c0, r0,
+    cfg: TrajectoryConfig, sigma_inf: Optional[np.ndarray] = None,
 ) -> TrajectoryRecord:
     r0 = np.asarray(r0, dtype=float).reshape(dd.a.shape[0])
-    mom = _moment_kernel(dd, m, b, sigma_c0, cfg)
+    mom = _moment_kernel(dd, m, b, sigma_c0, cfg, sigma_inf)
     means, currents = _sample(mom, m, r0, cfg)
-    return TrajectoryRecord(
-        mom.sample_steps * cfg.dt,
-        means,
-        mom.sigma_path[mom.sample_steps],
-        currents,
-        mom.tau_path,
-    )
+    sigma_c_path = mom.sigma_path[mom.sample_steps]
+    return TrajectoryRecord(mom.sample_steps * cfg.dt, means, sigma_c_path, currents, mom.tau_path)
 
 
 def simulate_conditional(
@@ -345,11 +395,17 @@ def simulate_closed_loop(
     cfg: TrajectoryConfig,
     sigma_c0,
     r0=None,
+    *,
+    sigma_inf: Optional[np.ndarray] = None,
 ) -> TrajectoryRecord:
-    """Ensemble of trajectories with the record fed back as linear driving."""
+    """Ensemble of trajectories with the record fed back as linear driving.
+
+    sigma_inf, the conditional steady state of (dd, m) from solve_riccati,
+    saves solving it again when the caller already has it.
+    """
     if r0 is None:
         r0 = np.zeros(dd.a.shape[0])
-    return _simulate(dd, m, fb.b, sigma_c0, r0, cfg)
+    return _simulate(dd, m, fb.b, sigma_c0, r0, cfg, sigma_inf)
 
 
 def mean_spread_model(

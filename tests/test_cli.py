@@ -411,6 +411,26 @@ def test_simulate_deterministic_and_valid(tmp_path):
     assert out1.read_bytes() != out3.read_bytes()
 
 
+def test_simulate_solves_the_conditional_steady_state_once(tmp_path, monkeypatch):
+    # the prediction's steady state is the one the simulated CM path relaxes to
+    from gendyne import trajectories
+
+    calls = []
+    solve = cli.solve_riccati
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    for module in (cli, scenarios, trajectories):
+        monkeypatch.setattr(module, "solve_riccati", counting)
+    obj = simulate_config()
+    obj["trajectories"].update(horizon=1.0, n_traj=4, dt=0.01, record_stride=10)
+    cfg = write_config(tmp_path, obj)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s.json")]) == 0
+    assert len(calls) == 1
+
+
 def test_parser_built_once_and_stateless(tmp_path, monkeypatch, capsys):
     cli._parser.cache_clear()
     built = []

@@ -1,6 +1,7 @@
 """Stochastic ensemble simulation against the deterministic solvers."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from gendyne import (
 from gendyne import trajectories
 from gendyne.cli import main
 from gendyne.scenarios import build_system, build_unravelling
-from gendyne.trajectories import _moment_kernel, _noise_factors
+from gendyne.trajectories import _moment_kernel, _noise_factors, _trajectory_generators
 
 
 def free_system(*occ):
@@ -48,6 +49,9 @@ def test_config_validation():
         TrajectoryConfig(dt=0.1, horizon=1.0, n_traj=0, seed=1)
     with pytest.raises(ValueError):
         TrajectoryConfig(dt=0.1, horizon=1.0, n_traj=1, seed=1, record_stride=0)
+    # spawn indices from 2**32 on take two words of the seed sequence's entropy
+    with pytest.raises(ValueError):
+        TrajectoryConfig(dt=0.1, horizon=1.0, n_traj=2**32, seed=1)
 
 
 def test_noise_free_contraction_is_deterministic():
@@ -306,20 +310,116 @@ def test_sigma_path_large_occupation_stays_above_steady_state():
 
 @pytest.mark.parametrize("currents", [False, True])
 def test_noise_block_size_does_not_change_output(monkeypatch, currents):
-    # two trajectory chunks, and a partial last block at either block size
+    # two trajectory chunks, and a partial last block at every block size
     dd, m = optimal_setup(1.0)
     cfg = TrajectoryConfig(
         dt=1e-2, horizon=3.0, n_traj=trajectories._TRAJ_CHUNK + 6, seed=19,
         record_stride=3, record_currents=currents,
     )
     runs = []
-    for block in (7, trajectories._STEP_BLOCK):
+    for block in (1, 7, trajectories._STEP_BLOCK):
         monkeypatch.setattr(trajectories, "_STEP_BLOCK", block)
         runs.append(simulate_conditional(dd, m, 3.0 * np.eye(2), np.zeros(2), cfg))
-    small, default = runs
-    assert np.array_equal(small.means, default.means)
-    if currents:
-        assert np.array_equal(small.currents, default.currents)
+    default = runs[-1]
+    for run in runs[:-1]:
+        assert np.array_equal(run.means, default.means)
+        if currents:
+            assert np.array_equal(run.currents, default.currents)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 20240611])
+def test_trajectory_keys_match_seed_sequence(seed):
+    # keys derived in one pass against numpy's SeedSequence, one at a time
+    chunk = trajectories._TRAJ_CHUNK
+    for start, stop in ((0, 5), (chunk - 3, chunk + 3)):
+        gens = _trajectory_generators(seed, start, stop)
+        assert len(gens) == stop - start
+        for index, gen in zip(range(start, stop), gens):
+            ref = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+            key = gen.bit_generator.state["state"]["key"]
+            assert np.array_equal(key, ref.state["state"]["key"])
+            normals = np.random.Generator(ref).standard_normal(64)
+            assert np.array_equal(gen.standard_normal(64), normals)
+
+
+def _per_step_sample(mom, m, r0, cfg):
+    """Reference sampler: one SeedSequence stream per trajectory, one move per iteration."""
+    n_records = len(mom.sample_steps)
+    if cfg.record_currents:
+        n_moves, prop_t, factors_t = cfg.n_steps, mom.prop.T, mom.gains.transpose(0, 2, 1)
+        record_of_move = np.full(n_moves, -1)
+        record_of_move[mom.sample_steps[1:] - 1] = np.arange(1, n_records)
+    else:
+        n_moves, prop_t = n_records - 1, mom.record_prop.T
+        factors_t = _noise_factors(mom.interval_cov).transpose(0, 2, 1)
+        record_of_move = np.arange(1, n_records)
+    prop_t, factors_t = np.ascontiguousarray(prop_t), np.ascontiguousarray(factors_t)
+    streams = (np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,)) for i in range(cfg.n_traj))
+    noise = np.stack([
+        np.random.Generator(np.random.Philox(stream)).standard_normal((n_moves, factors_t.shape[1]))
+        for stream in streams
+    ])
+    r = np.tile(r0, (cfg.n_traj, 1))
+    means = np.empty((cfg.n_traj, n_records, len(r0)))
+    means[:, 0] = r
+    currents = np.empty_like(noise) if cfg.record_currents else None
+    for k in range(n_moves):
+        z = noise[:, k]
+        if currents is not None:
+            z = z * np.sqrt(cfg.dt)
+            currents[:, k] = r @ m.c.T * cfg.dt + z
+        r = r @ prop_t + z @ factors_t[k]
+        if record_of_move[k] >= 0:
+            means[:, record_of_move[k]] = r
+    return means, currents
+
+
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("currents", [False, True])
+def test_sampler_matches_per_step_reference(monkeypatch, currents, closed):
+    # two trajectory chunks, 37 steps: partial last blocks and record intervals
+    dd, m = optimal_setup(1.0)
+    sigma_inf = riccati_steady_state(dd, m).matrix
+    fb = feedback_gain(sigma_inf, m)
+    b = fb.b if closed else None
+    sigma0, r0 = 1.5 * sigma_inf, np.array([0.3, -0.2])
+    for stride in (1, 3, 10):
+        cfg = TrajectoryConfig(
+            dt=1e-2, horizon=0.37, n_traj=trajectories._TRAJ_CHUNK + 6, seed=61,
+            record_stride=stride, record_currents=currents,
+        )
+        means, currents_ref = _per_step_sample(_moment_kernel(dd, m, b, sigma0, cfg), m, r0, cfg)
+        for block in (1, 7, trajectories._STEP_BLOCK):
+            monkeypatch.setattr(trajectories, "_STEP_BLOCK", block)
+            if closed:
+                rec = simulate_closed_loop(dd, m, fb, cfg, sigma_c0=sigma0, r0=r0)
+            else:
+                rec = simulate_conditional(dd, m, sigma0, r0, cfg)
+            assert np.array_equal(rec.means, means)
+            if currents:
+                assert np.array_equal(rec.currents, currents_ref)
+            else:
+                assert rec.currents is None
+
+
+def test_sampler_memory_stays_near_its_output():
+    # The record dominates: work arrays of one block of moves come on top,
+    # not time-major copies of the whole record.
+    bath = ThermalBath((1.0, 1.0))
+    dd, couplings = thermal_drift_diffusion(None, bath)
+    m = measurement_matrices(couplings, named_unravelling("optimal_entangle", bath))
+    sigma_c = riccati_steady_state(dd, m).matrix
+    fb = feedback_gain(sigma_c, m)
+    cfg = TrajectoryConfig(
+        dt=1e-2, horizon=20.0, n_traj=256, seed=3, record_stride=10, record_currents=True
+    )
+    tracemalloc.start()
+    try:
+        rec = simulate_closed_loop(dd, m, fb, cfg, sigma_c0=sigma_c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.35 * (rec.means.nbytes + rec.currents.nbytes)
 
 
 @pytest.mark.parametrize("closed", [False, True])
