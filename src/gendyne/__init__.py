@@ -74,9 +74,7 @@ from .trajectories import (
     TrajectoryRecord,
     default_burn_in,
     ensemble_statistics,
-    mean_spread_model,
     simulate_closed_loop,
-    simulate_conditional,
 )
 
 __all__ = [
@@ -112,7 +110,6 @@ __all__ = [
     "feedback_gain",
     "log_negativity",
     "lyapunov_steady_state",
-    "mean_spread_model",
     "measurement_matrices",
     "named_unravelling",
     "parametric_hamiltonian",
@@ -124,7 +121,6 @@ __all__ = [
     "riccati_steady_state",
     "run_scenario",
     "simulate_closed_loop",
-    "simulate_conditional",
     "solve_riccati",
     "squeezing_bound",
     "stabilising_check",

@@ -19,7 +19,6 @@ handled exactly, with no numerical search.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import subspace_angles
 
 from .dynamics import DriftDiffusion, SpectralData, stability_check
 from .errors import UnstableSystemError
@@ -76,22 +75,19 @@ def _eigenspace(values: np.ndarray, vectors: np.ndarray, index: int) -> np.ndarr
     return vectors[:, mask]
 
 
-def _principal_angle(u: np.ndarray, v: np.ndarray) -> float:
-    """Smallest principal angle between two subspaces (radians)."""
-    return float(subspace_angles(u, v)[-1])
-
-
 def tightness_squeezing(dd: DriftDiffusion) -> bool:
     """Can the squeezing limit be reached?
 
     True when the extremal eigenspaces of -(A + A^T) and D intersect, i.e.
     a common direction carries both the weakest damping and the strongest
-    noise (principal angle below 1e-6).
+    noise (principal angle below 1e-6). The singular values of the part of
+    E_delta orthogonal to E_alpha are the sines of the principal angles.
     """
     spec = _require_stable(dd)
     e_alpha = _eigenspace(spec.alphas, spec.alpha_vectors, 0)
     e_delta = _eigenspace(spec.deltas[::-1], spec.delta_vectors[:, ::-1], len(spec.deltas) - 1)
-    return _principal_angle(e_alpha, e_delta) < TIGHTNESS_TOL
+    sines = np.linalg.svd(e_delta - e_alpha @ (e_alpha.T @ e_delta), compute_uv=False)
+    return bool(sines[-1] < TIGHTNESS_TOL)
 
 
 def tightness_entanglement(dd: DriftDiffusion, bipartition: Bipartition) -> bool:

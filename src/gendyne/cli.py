@@ -28,16 +28,14 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .conditioning import measurement_matrices, solve_riccati
 from .dynamics import lyapunov_steady_state
 from .errors import GendyneError
-from .feedback import feedback_gain
 from .scenarios import (
     Limits,
     Report,
     ScenarioSpec,
     UnstablePoint,
-    build_unravelling,
+    monitored_loop,
     run_scenario,
     stable_system,
     sweep,
@@ -79,7 +77,8 @@ def _resolve_config(config: dict, seed: Optional[int] = None) -> dict:
             tr["seed"] = seed
     if "sweep" in resolved and isinstance(resolved["sweep"]["grid"], dict):
         g = resolved["sweep"]["grid"]
-        resolved["sweep"]["grid"] = np.linspace(g["start"], g["stop"], g["count"]).tolist()
+        # The schema's integers include integral floats such as 3.0.
+        resolved["sweep"]["grid"] = np.linspace(g["start"], g["stop"], int(g["count"])).tolist()
     return resolved
 
 
@@ -109,9 +108,9 @@ def _trajectory_config(config: dict) -> TrajectoryConfig:
         return TrajectoryConfig(
             dt=tr["dt"],
             horizon=tr["horizon"],
-            n_traj=tr["n_traj"],
+            n_traj=int(tr["n_traj"]),
             seed=tr["seed"],
-            record_stride=tr["record_stride"],
+            record_stride=int(tr["record_stride"]),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -139,14 +138,16 @@ def _with_provenance(config: dict, body: dict) -> dict:
     return {"library_version": __version__, "config": config, **body}
 
 
-def _limits(config: dict) -> Limits:
+def cmd_limits(command: str, config: dict, out: Optional[str]) -> None:
+    """`bounds`, or `check-tightness`: the same report without its bounds block."""
     # The limits depend on (A, D) only, which the monitoring does not change.
-    return Limits.of(stable_system(_scenario_from_config(config))[0])
-
-
-def cmd_bounds(config: dict, out: Optional[str]) -> None:
-    obj = _with_provenance(config, _limits(config).to_dict())
-    validate_report(obj, BOUNDS_REPORT_SCHEMA)
+    body = Limits.of(stable_system(_scenario_from_config(config))[0]).to_dict()
+    schema = BOUNDS_REPORT_SCHEMA
+    if command == "check-tightness":
+        del body["bounds"]
+        schema = TIGHTNESS_REPORT_SCHEMA
+    obj = _with_provenance(config, body)
+    validate_report(obj, schema)
     _emit(_json_text(obj), out)
 
 
@@ -157,14 +158,6 @@ def cmd_steady(config: dict, out: Optional[str]) -> None:
         report = replace(report, threshold_eta=threshold_efficiency(spec))
     obj = _with_provenance(config, report.to_dict())
     validate_report(obj, STEADY_REPORT_SCHEMA)
-    _emit(_json_text(obj), out)
-
-
-def cmd_check_tightness(config: dict, out: Optional[str]) -> None:
-    body = _limits(config).to_dict()
-    del body["bounds"]
-    obj = _with_provenance(config, body)
-    validate_report(obj, TIGHTNESS_REPORT_SCHEMA)
     _emit(_json_text(obj), out)
 
 
@@ -254,11 +247,10 @@ def cmd_simulate(config: dict, out: Optional[str]) -> None:
             f"no record time lies in the stationary window [{burn_in:g}, {cfg.horizon:g}]"
             f" (dt {cfg.dt:g}, record_stride {cfg.record_stride})"
         )
-    m = measurement_matrices(couplings, build_unravelling(spec, bath), dd)
-    sigma_lyap = lyapunov_steady_state(dd).matrix
     # Unmonitored, the gain is zero and sigma_c is the Lyapunov state.
-    predicted = solve_riccati(dd, m, probe_uniqueness=False).sigma
-    fb = feedback_gain(predicted, m)
+    m, sol, fb = monitored_loop(spec, dd, couplings, bath)
+    predicted = sol.sigma
+    sigma_lyap = lyapunov_steady_state(dd).matrix
     record = simulate_closed_loop(dd, m, fb, cfg, sigma_c0=sigma_lyap, sigma_inf=predicted)
     stats = ensemble_statistics(record, (burn_in, cfg.horizon))
 
@@ -322,12 +314,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         config = _resolve_config(load_config(args.config), getattr(args, "seed", None))
-        if args.command == "bounds":
-            cmd_bounds(config, args.out)
+        if args.command in ("bounds", "check-tightness"):
+            cmd_limits(args.command, config, args.out)
         elif args.command == "steady":
             cmd_steady(config, args.out)
-        elif args.command == "check-tightness":
-            cmd_check_tightness(config, args.out)
         elif args.command == "sweep":
             cmd_sweep(config, args.out, args.format)
         elif args.command == "simulate":

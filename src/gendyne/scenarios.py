@@ -25,6 +25,8 @@ from .bounds import (
     tightness_squeezing,
 )
 from .conditioning import (
+    MeasurementSetup,
+    RiccatiSolution,
     UnravellingMatrix,
     apply_efficiency,
     measurement_matrices,
@@ -41,7 +43,7 @@ from .dynamics import (
     thermal_drift_diffusion,
 )
 from .errors import ConvergenceError, UnstableSystemError
-from .feedback import closed_loop, feedback_gain
+from .feedback import FeedbackLaw, closed_loop, feedback_gain
 from .linalg import max_abs
 from .symplectic import (
     Bipartition,
@@ -168,6 +170,15 @@ def build_unravelling(spec: ScenarioSpec, bath: ThermalBath) -> UnravellingMatri
         kind = "optimal_entangle" if spec.strategy == "optimal" else "homodyne_nonlocal"
         u = named_unravelling(kind, bath)
     return apply_efficiency(u, spec.eta)
+
+
+def monitored_loop(
+    spec: ScenarioSpec, dd: DriftDiffusion, couplings: CouplingOperators, bath: ThermalBath
+) -> tuple[MeasurementSetup, RiccatiSolution, FeedbackLaw]:
+    """The strategy's measurement, its conditional steady state and the cancelling gain."""
+    m = measurement_matrices(couplings, build_unravelling(spec, bath), dd)
+    sol = solve_riccati(dd, m)
+    return m, sol, feedback_gain(sol.sigma, m)
 
 
 @dataclass(frozen=True)
@@ -298,9 +309,7 @@ def _report(
     """run_scenario on a stable system whose limits are already known."""
     two_mode = spec.n_modes == 2
 
-    unravelling = build_unravelling(spec, bath)
-    m = measurement_matrices(couplings, unravelling, dd)
-    sol = solve_riccati(dd, m)
+    m, sol, fb = monitored_loop(spec, dd, couplings, bath)
     sigma_c = sol.sigma
 
     # A report never shows a value that beats its own bound: past these
@@ -321,7 +330,6 @@ def _report(
     phys = physicality_check(sigma_c)
     stab = stabilising_check(sigma_c, dd)
 
-    fb = feedback_gain(sigma_c, m)
     loop = closed_loop(dd, m, fb)
     sigma_loop = lyapunov_steady_state(loop.as_drift_diffusion()).matrix
     loop_residual = max_abs(sigma_loop - sigma_c)

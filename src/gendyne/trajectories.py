@@ -23,10 +23,11 @@ Delta C^T C Delta, whose solution is
 
 (Davison & Maki 1973; Kenney & Leipnik 1985).
 
-One deterministic moment kernel serves every entry point. It evaluates
-the CM path once and, with the one-step map P = 1 + dt A_eff and the
-per-step gains G_k, reduces each record interval of s = record_stride steps
-to the affine map P^s plus one Gaussian of covariance
+One deterministic moment kernel serves the single entry point,
+simulate_closed_loop (fb=None: no driving). It evaluates the CM path once
+and, with the one-step map P = 1 + dt A_eff and the per-step gains G_k,
+reduces each record interval of s = record_stride steps to the affine map
+P^s plus one Gaussian of covariance
 
     Q_j = sum_k P^(s-1-k) dt G_k G_k^T P^(s-1-k)^T,
 
@@ -366,32 +367,10 @@ def _sample(
     return means, currents
 
 
-def _simulate(
-    dd: DriftDiffusion, m: MeasurementSetup, b: Optional[np.ndarray], sigma_c0, r0,
-    cfg: TrajectoryConfig, sigma_inf: Optional[np.ndarray] = None,
-) -> TrajectoryRecord:
-    r0 = np.asarray(r0, dtype=float).reshape(dd.a.shape[0])
-    mom = _moment_kernel(dd, m, b, sigma_c0, cfg, sigma_inf)
-    means, currents = _sample(mom, m, r0, cfg)
-    sigma_c_path = mom.sigma_path[mom.sample_steps]
-    return TrajectoryRecord(mom.sample_steps * cfg.dt, means, sigma_c_path, currents, mom.tau_path)
-
-
-def simulate_conditional(
-    dd: DriftDiffusion,
-    m: MeasurementSetup,
-    sigma_c0,
-    r0,
-    cfg: TrajectoryConfig,
-) -> TrajectoryRecord:
-    """Ensemble of conditional trajectories without driving."""
-    return _simulate(dd, m, None, sigma_c0, r0, cfg)
-
-
 def simulate_closed_loop(
     dd: DriftDiffusion,
     m: MeasurementSetup,
-    fb: FeedbackLaw,
+    fb: Optional[FeedbackLaw],
     cfg: TrajectoryConfig,
     sigma_c0,
     r0=None,
@@ -400,33 +379,16 @@ def simulate_closed_loop(
 ) -> TrajectoryRecord:
     """Ensemble of trajectories with the record fed back as linear driving.
 
-    sigma_inf, the conditional steady state of (dd, m) from solve_riccati,
-    saves solving it again when the caller already has it.
+    fb=None runs the conditional trajectories without driving. sigma_inf,
+    the conditional steady state of (dd, m) from solve_riccati, saves
+    solving it again when the caller already has it.
     """
-    if r0 is None:
-        r0 = np.zeros(dd.a.shape[0])
-    return _simulate(dd, m, fb.b, sigma_c0, r0, cfg, sigma_inf)
-
-
-def mean_spread_model(
-    dd: DriftDiffusion,
-    m: MeasurementSetup,
-    b: Optional[np.ndarray],
-    sigma_c0,
-    cfg: TrajectoryConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic second moments of the conditional means, tau(t).
-
-    The moment kernel of the simulations without their noise: the exact
-    covariance of the Euler-Maruyama means, tau_{k+1} = P tau_k P^T +
-    dt G_k G_k^T with P = 1 + dt A_eff, taken one record interval at a time,
-    tau_{j+1} = P^s tau_j P^s^T + Q_j. Sampled spreads differ from it by
-    Monte-Carlo error only. Returns (times, tau path) on the record grid,
-    for an ensemble started at a fixed mean; a simulation carries the same
-    path as TrajectoryRecord.tau_path.
-    """
-    mom = _moment_kernel(dd, m, b, sigma_c0, cfg)
-    return mom.sample_steps * cfg.dt, mom.tau_path
+    dim = dd.a.shape[0]
+    r0 = np.zeros(dim) if r0 is None else np.asarray(r0, dtype=float).reshape(dim)
+    mom = _moment_kernel(dd, m, None if fb is None else fb.b, sigma_c0, cfg, sigma_inf)
+    means, currents = _sample(mom, m, r0, cfg)
+    sigma_c_path = mom.sigma_path[mom.sample_steps]
+    return TrajectoryRecord(mom.sample_steps * cfg.dt, means, sigma_c_path, currents, mom.tau_path)
 
 
 class EnsembleStats(NamedTuple):

@@ -19,7 +19,6 @@ from gendyne import (
     feedback_gain,
     log_negativity,
     lyapunov_steady_state,
-    mean_spread_model,
     measurement_matrices,
     named_unravelling,
     parametric_hamiltonian,
@@ -27,7 +26,6 @@ from gendyne import (
     riccati_steady_state,
     run_scenario,
     simulate_closed_loop,
-    simulate_conditional,
     solve_riccati,
     symplectic_eigenvalues,
     thermal_drift_diffusion,
@@ -344,8 +342,7 @@ def test_criterion_9_monte_carlo_consistency():
     fb = feedback_gain(sigma_c, m)
     rec = simulate_closed_loop(dd, m, fb, cfg, sigma_c0=sigma_lyap)
     stats = ensemble_statistics(rec, window)
-    _, tau_path = mean_spread_model(dd, m, fb.b, sigma_lyap, cfg)
-    tau_model = tau_path[(rec.times >= window[0])].mean(axis=0)
+    tau_model = rec.tau_path[(rec.times >= window[0])].mean(axis=0)
     var_x = stats.sigma[0, 0]
     se_x = max(stats.se_sigma[0, 0], 1e-12)
     model_var_x = (stats.sigma_c + tau_model)[0, 0]
@@ -355,7 +352,7 @@ def test_criterion_9_monte_carlo_consistency():
     var_ok = abs(var_x - model_var_x) <= 3.0 * se_x and abs(var_x - 1.0 / 3.0) <= 1e-4
 
     # no feedback: sigma_c + tau reconstructs the unconditional steady state
-    rec2 = simulate_conditional(dd, m, sigma_lyap, np.zeros(2), cfg)
+    rec2 = simulate_closed_loop(dd, m, None, cfg, sigma_lyap, np.zeros(2))
     stats2 = ensemble_statistics(rec2, window)
     dev = np.abs(stats2.sigma - sigma_lyap)
     identity_ok = np.all(dev <= 3.0 * np.maximum(stats2.se_sigma, 1e-12) + 1e-6)

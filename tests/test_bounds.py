@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.linalg import subspace_angles
 
 import gendyne.bounds as bounds
 from gendyne import (
@@ -121,6 +122,56 @@ def test_tightness_squeezing_cases():
     mismatched = DriftDiffusion(-np.diag([1.0, 2.0]) / 2.0, np.diag([1.0, 3.0]))
     assert tightness_squeezing(mismatched) is False
     assert tightness_squeezing(parametric_dd(0.3, 1.0)) is True
+
+
+def _designed_dd(q, alphas, r, deltas):
+    """-(A + A^T) = q diag(alphas) q^T and D = r diag(deltas) r^T."""
+    return DriftDiffusion(-(q * alphas) @ q.T / 2.0, (r * deltas) @ r.T)
+
+
+def _orthogonal(rng, dim):
+    return np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+
+
+def _reference_tightness_squeezing(dd):
+    # the smallest principal angle from scipy, on the predicate's own eigenspaces
+    spec = dd.spectrum
+    e_alpha = bounds._eigenspace(spec.alphas, spec.alpha_vectors, 0)
+    e_delta = bounds._eigenspace(spec.deltas[::-1], spec.delta_vectors[:, ::-1], len(spec.deltas) - 1)
+    return bool(subspace_angles(e_alpha, e_delta)[-1] < bounds.TIGHTNESS_TOL)
+
+
+def test_tightness_squeezing_agrees_with_principal_angles(rng):
+    verdicts = []
+    for _ in range(400):
+        dim = 2 * int(rng.integers(1, 4))
+        q = _orthogonal(rng, dim)
+        alphas = np.sort(rng.uniform(0.5, 3.0, dim))
+        deltas = np.sort(rng.uniform(0.5, 3.0, dim))[::-1]
+        if rng.random() < 0.5:  # degenerate extremal eigenvalues
+            alphas[: rng.integers(1, dim)] = alphas[0]
+            deltas[: rng.integers(1, dim)] = deltas[0]
+        # shared eigenvectors in shuffled order, or unrelated ones
+        r = q[:, rng.permutation(dim)] if rng.random() < 0.5 else _orthogonal(rng, dim)
+        dd = _designed_dd(q, alphas, r, deltas)
+        verdicts.append(tightness_squeezing(dd))
+        assert verdicts[-1] is _reference_tightness_squeezing(dd)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+@pytest.mark.parametrize("angle, tight", [(0.5e-6, True), (2e-6, False)])
+def test_tightness_squeezing_at_its_tolerance(rng, degenerate, angle, tight):
+    # the strongest noise direction leaves the weakest-damping eigenspace
+    # (one or two dimensional) by `angle`, on either side of TIGHTNESS_TOL
+    q = _orthogonal(rng, 4)
+    alphas = np.array([1.0, 1.0 if degenerate else 1.5, 2.0, 2.5])
+    k = 2 if degenerate else 1
+    turn = np.eye(4)
+    turn[[0, k, 0, k], [0, k, k, 0]] = [np.cos(angle), np.cos(angle), -np.sin(angle), np.sin(angle)]
+    dd = _designed_dd(q, alphas, q @ turn, np.array([3.0, 2.0, 1.5, 1.0]))
+    assert tightness_squeezing(dd) is tight
+    assert _reference_tightness_squeezing(dd) is tight
 
 
 def test_tightness_entanglement_cases():

@@ -81,6 +81,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
     bad_json = tmp_path / "broken.json"
     bad_json.write_text("{not json")
     assert main(["bounds", "--config", str(bad_json)]) == 2
+    fractional = simulate_config()
+    fractional["trajectories"]["n_traj"] = 4.5
+    assert main(["simulate", "--config", write_config(tmp_path, fractional)]) == 2
     capsys.readouterr()
 
 
@@ -416,13 +419,13 @@ def test_simulate_solves_the_conditional_steady_state_once(tmp_path, monkeypatch
     from gendyne import trajectories
 
     calls = []
-    solve = cli.solve_riccati
+    solve = scenarios.solve_riccati
 
     def counting(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    for module in (cli, scenarios, trajectories):
+    for module in (scenarios, trajectories):
         monkeypatch.setattr(module, "solve_riccati", counting)
     obj = simulate_config()
     obj["trajectories"].update(horizon=1.0, n_traj=4, dt=0.01, record_stride=10)
@@ -484,6 +487,32 @@ def test_simulate_empty_window_exits_2(tmp_path, capsys, trajectories, window):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and f"window {window}" in err
+
+
+@pytest.mark.parametrize(
+    "args, section, key",
+    [
+        (["simulate"], "trajectories", "n_traj"),
+        (["simulate"], "trajectories", "record_stride"),
+        (["sweep", "--format", "json"], "grid", "count"),
+    ],
+)
+def test_integral_floats_read_as_integers(tmp_path, capsys, args, section, key):
+    # JSON schema integers include 4.0: same output as 4, bar the echoed config
+    obj = simulate_config()
+    obj["trajectories"].update(horizon=1.0, dt=0.01, n_traj=4, record_stride=5)
+    obj["sweep"] = {"parameter": "eta", "grid": {"start": 0.5, "stop": 1.0, "count": 3}}
+    reports = []
+    for spelling in (int, float):
+        block = obj["sweep"]["grid"] if section == "grid" else obj[section]
+        block[key] = spelling(block[key])
+        cfg = write_config(tmp_path, obj, name=f"{spelling.__name__}.json")
+        assert main([*args, "--config", cfg]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    as_int, as_float = reports
+    if section == "trajectories":
+        assert type(as_float["config"][section][key]) is float
+    assert as_float | {"config": None} == as_int | {"config": None}
 
 
 def test_simulate_rejects_record_currents(tmp_path, capsys):

@@ -15,12 +15,10 @@ from gendyne import (
     ensemble_statistics,
     feedback_gain,
     lyapunov_steady_state,
-    mean_spread_model,
     measurement_matrices,
     named_unravelling,
     riccati_steady_state,
     simulate_closed_loop,
-    simulate_conditional,
     thermal_drift_diffusion,
 )
 from gendyne import trajectories
@@ -58,7 +56,7 @@ def test_noise_free_contraction_is_deterministic():
     dd, couplings = free_system(0.0)
     m = measurement_matrices(couplings, UnravellingMatrix.zero(2))
     cfg = TrajectoryConfig(dt=1e-3, horizon=2.0, n_traj=4, seed=3, record_stride=100)
-    rec = simulate_conditional(dd, m, np.eye(2), np.array([2.0, 0.0]), cfg)
+    rec = simulate_closed_loop(dd, m, None, cfg, np.eye(2), np.array([2.0, 0.0]))
     expected = 2.0 * np.exp(-rec.times / 2.0)
     assert np.allclose(rec.means[0, :, 0], expected, atol=2e-3)
     assert np.all(rec.means[:, :, 1] == 0.0)
@@ -70,7 +68,7 @@ def test_noise_free_contraction_is_deterministic():
 def test_sigma_path_converges_to_riccati():
     dd, m = optimal_setup(1.0)
     cfg = TrajectoryConfig(dt=1e-2, horizon=40.0, n_traj=1, seed=5, record_stride=100)
-    rec = simulate_conditional(dd, m, 3.0 * np.eye(2), np.zeros(2), cfg)
+    rec = simulate_closed_loop(dd, m, None, cfg, 3.0 * np.eye(2), np.zeros(2))
     target = riccati_steady_state(dd, m).matrix
     assert np.max(np.abs(rec.sigma_c_path[-1] - target)) <= 1e-6
     assert np.allclose(target, np.diag([1.0 / 3.0, 3.0]), atol=1e-9)
@@ -83,8 +81,8 @@ def test_reproducibility_bit_identical():
     cfg = TrajectoryConfig(
         dt=1e-3, horizon=1.0, n_traj=7, seed=99, record_stride=10, record_currents=True
     )
-    rec1 = simulate_conditional(dd, m, 3.0 * np.eye(2), np.zeros(2), cfg)
-    rec2 = simulate_conditional(dd, m, 3.0 * np.eye(2), np.zeros(2), cfg)
+    rec1 = simulate_closed_loop(dd, m, None, cfg, 3.0 * np.eye(2), np.zeros(2))
+    rec2 = simulate_closed_loop(dd, m, None, cfg, 3.0 * np.eye(2), np.zeros(2))
     assert np.array_equal(rec1.means, rec2.means)
     assert np.array_equal(rec1.currents, rec2.currents)
     assert np.array_equal(rec1.sigma_c_path, rec2.sigma_c_path)
@@ -95,8 +93,8 @@ def test_trajectory_streams_independent_of_ensemble_size():
     dd, m = optimal_setup(1.0)
     small = TrajectoryConfig(dt=1e-3, horizon=0.5, n_traj=3, seed=11, record_stride=10)
     large = TrajectoryConfig(dt=1e-3, horizon=0.5, n_traj=6, seed=11, record_stride=10)
-    rec_small = simulate_conditional(dd, m, 3.0 * np.eye(2), np.zeros(2), small)
-    rec_large = simulate_conditional(dd, m, 3.0 * np.eye(2), np.zeros(2), large)
+    rec_small = simulate_closed_loop(dd, m, None, small, 3.0 * np.eye(2), np.zeros(2))
+    rec_large = simulate_closed_loop(dd, m, None, large, 3.0 * np.eye(2), np.zeros(2))
     assert np.array_equal(rec_small.means, rec_large.means[:3])
 
 
@@ -107,7 +105,7 @@ def test_current_increment_variance():
     cfg = TrajectoryConfig(
         dt=1e-3, horizon=20.0, n_traj=4, seed=17, record_stride=1000, record_currents=True
     )
-    rec = simulate_conditional(dd, m, 3.0 * np.eye(2), np.zeros(2), cfg)
+    rec = simulate_closed_loop(dd, m, None, cfg, 3.0 * np.eye(2), np.zeros(2))
     steps = rec.currents.shape[0] * rec.currents.shape[1]
     var = rec.currents.reshape(steps, -1).var(axis=0, ddof=1)
     band = 5.0 / np.sqrt(steps)
@@ -119,7 +117,7 @@ def test_conditional_moment_identity():
     # no feedback: classical mean spread restores the unconditional CM
     dd, m = optimal_setup(1.0)
     cfg = TrajectoryConfig(dt=2e-3, horizon=14.0, n_traj=600, seed=23, record_stride=50)
-    rec = simulate_conditional(dd, m, 3.0 * np.eye(2), np.zeros(2), cfg)
+    rec = simulate_closed_loop(dd, m, None, cfg, 3.0 * np.eye(2), np.zeros(2))
     stats = ensemble_statistics(rec, (10.0, 14.0))
     target = lyapunov_steady_state(dd).matrix
     dev = np.abs(stats.sigma - target)
@@ -195,7 +193,7 @@ def test_step_halving_consistency():
     estimates, errors = [], []
     for dt in (1e-2, 5e-3, 2.5e-3):
         cfg = TrajectoryConfig(dt=dt, horizon=14.0, n_traj=400, seed=37, record_stride=max(1, int(0.1 / dt)))
-        rec = simulate_conditional(dd, m, 3.0 * np.eye(2), np.zeros(2), cfg)
+        rec = simulate_closed_loop(dd, m, None, cfg, 3.0 * np.eye(2), np.zeros(2))
         stats = ensemble_statistics(rec, (10.0, 14.0))
         estimates.append(stats.sigma[0, 0])
         errors.append(stats.se_sigma[0, 0])
@@ -207,7 +205,7 @@ def test_step_halving_consistency():
 def test_ensemble_statistics_edges():
     dd, m = optimal_setup(1.0)
     cfg = TrajectoryConfig(dt=1e-2, horizon=1.0, n_traj=3, seed=41, record_stride=10)
-    rec = simulate_conditional(dd, m, 3.0 * np.eye(2), np.zeros(2), cfg)
+    rec = simulate_closed_loop(dd, m, None, cfg, 3.0 * np.eye(2), np.zeros(2))
     with pytest.raises(ValueError):
         ensemble_statistics(rec, (5.0, 6.0))
     # all-zero means: tau = 0 and sigma reduces to the deterministic CM part
@@ -230,7 +228,7 @@ def test_spread_model_matches_per_step_recursion():
     sigma0 = 3.0 * np.eye(2)
     cfg = TrajectoryConfig(dt=1e-2, horizon=3.05, n_traj=1, seed=1, record_stride=20)
     assert cfg.n_steps % cfg.record_stride != 0
-    times, tau_path = mean_spread_model(dd, m, fb.b, sigma0, cfg)
+    rec = simulate_closed_loop(dd, m, fb, cfg, sigma_c0=sigma0)
 
     fine = TrajectoryConfig(dt=cfg.dt, horizon=cfg.horizon, n_traj=1, seed=1)
     sigma_path = simulate_closed_loop(dd, m, fb, fine, sigma_c0=sigma0).sigma_c_path
@@ -244,11 +242,8 @@ def test_spread_model_matches_per_step_recursion():
             expected.append(tau)
     expected = np.array(expected)
 
-    assert np.allclose(times, cfg.dt * cfg.record_stride * np.arange(len(expected)))
-    assert np.max(np.abs(tau_path - expected)) <= 1e-12 * np.max(np.abs(expected))
-    # a simulation carries the same deterministic path
-    rec = simulate_closed_loop(dd, m, fb, cfg, sigma_c0=sigma0)
-    assert np.array_equal(rec.tau_path, tau_path)
+    assert np.allclose(rec.times, cfg.dt * cfg.record_stride * np.arange(len(expected)))
+    assert np.max(np.abs(rec.tau_path - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def _rk4_sigma_path(dd, m, sigma0, dt, n_steps, substeps):
@@ -319,7 +314,7 @@ def test_noise_block_size_does_not_change_output(monkeypatch, currents):
     runs = []
     for block in (1, 7, trajectories._STEP_BLOCK):
         monkeypatch.setattr(trajectories, "_STEP_BLOCK", block)
-        runs.append(simulate_conditional(dd, m, 3.0 * np.eye(2), np.zeros(2), cfg))
+        runs.append(simulate_closed_loop(dd, m, None, cfg, 3.0 * np.eye(2), np.zeros(2)))
     default = runs[-1]
     for run in runs[:-1]:
         assert np.array_equal(run.means, default.means)
@@ -394,7 +389,7 @@ def test_sampler_matches_per_step_reference(monkeypatch, currents, closed):
             if closed:
                 rec = simulate_closed_loop(dd, m, fb, cfg, sigma_c0=sigma0, r0=r0)
             else:
-                rec = simulate_conditional(dd, m, sigma0, r0, cfg)
+                rec = simulate_closed_loop(dd, m, None, cfg, sigma0, r0)
             assert np.array_equal(rec.means, means)
             if currents:
                 assert np.array_equal(rec.currents, currents_ref)
